@@ -75,6 +75,22 @@ fn wait_epoch_past(router: &Router, after: u64) {
     }
 }
 
+/// Polls until the router has ejected at least `n` backends. A dead
+/// replica that no request is routed to is ejected only by the prober,
+/// so tests wait for it instead of racing the probe period.
+fn wait_ejections(router: &Router, n: u64) {
+    let t0 = Instant::now();
+    let ejections = || {
+        router
+            .cluster_snapshot()
+            .membership
+            .map_or(0, |m| m.ejections)
+    };
+    while ejections() < n && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// A backend registers into a running replicated router, serves, then
 /// deregisters — each transition observable in the membership counters
 /// and the plan epoch; deregistering an unknown address is a `404`.
@@ -373,6 +389,7 @@ fn three_by_two_survives_killing_one_replica_per_shard() {
         );
     }
 
+    wait_ejections(&router, 3);
     let snap = router.shutdown();
     let requests: u64 = snap.router.per_op.iter().map(|o| o.requests).sum();
     let ok: u64 = snap.router.per_op.iter().map(|o| o.ok).sum();

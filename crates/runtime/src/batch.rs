@@ -2,31 +2,34 @@
 //!
 //! Producers push items into a bounded FIFO ([`MicroBatcher::try_submit`]
 //! rejects with [`QueueFull`]; [`MicroBatcher::submit_blocking`] waits
-//! for room). A consumer drains it in *micro-batches*: once the first
-//! item of a batch arrives, the batcher keeps collecting until either
-//! `batch_size` items are gathered or `max_wait` elapses — the classic
-//! latency/throughput knob of a serving loop.
+//! for room). A consumer drains it in *micro-batches*, and the batcher
+//! is work-conserving: [`MicroBatcher::next_batch`] blocks only until a
+//! batch's first item arrives, adds whatever else is already queued (up
+//! to `batch_size`) and returns. It never waits on a timer for more
+//! items. A lone request runs at once, and batches form from the items
+//! that queued while the consumer was busy with the previous batch,
+//! which is exactly when coalescing pays. A timed wait for partners
+//! would only add its full length to every request at light load: at
+//! the repository benchmark's 500 req/s a 500 µs wait found no partner
+//! and was about 70 % of the median request latency (DESIGN.md §9).
 //!
 //! A single consumer observes items in exact submission order, which is
 //! what makes batched execution equivalent to one-at-a-time execution
 //! downstream (see `tests/batch_equivalence.rs`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::iter;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use parking_lot::RwLock;
 
 use crate::metrics::RuntimeMetrics;
 
 /// Configuration for [`MicroBatcher`].
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Maximum items per flushed batch.
+    /// Maximum items per batch.
     pub batch_size: usize,
-    /// Longest a partially filled batch waits for more items after its
-    /// first item arrived.
-    pub max_wait: Duration,
     /// Bounded queue capacity: the backpressure limit.
     pub capacity: usize,
 }
@@ -35,7 +38,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             batch_size: 8,
-            max_wait: Duration::from_millis(2),
             capacity: 64,
         }
     }
@@ -53,10 +55,6 @@ impl<T> std::fmt::Display for QueueFull<T> {
 }
 
 impl<T: std::fmt::Debug> std::error::Error for QueueFull<T> {}
-
-/// Poll period used while the consumer waits for a first item, so it
-/// can notice [`MicroBatcher::close`].
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// A bounded micro-batching queue.
 ///
@@ -82,10 +80,11 @@ const IDLE_POLL: Duration = Duration::from_millis(1);
 /// assert_eq!(batcher.next_batch(), None);
 /// ```
 pub struct MicroBatcher<T> {
-    tx: Sender<T>,
+    /// The queue's only sender; `None` once closed. Dropping it is what
+    /// wakes a consumer blocked on an empty queue.
+    tx: RwLock<Option<Sender<T>>>,
     rx: Receiver<T>,
     cfg: BatchConfig,
-    closed: AtomicBool,
     metrics: Arc<RuntimeMetrics>,
 }
 
@@ -94,7 +93,7 @@ impl<T> std::fmt::Debug for MicroBatcher<T> {
         f.debug_struct("MicroBatcher")
             .field("cfg", &self.cfg)
             .field("len", &self.rx.len())
-            .field("closed", &self.closed.load(Ordering::Relaxed))
+            .field("closed", &self.tx.read().is_none())
             .finish()
     }
 }
@@ -122,10 +121,9 @@ impl<T: Send> MicroBatcher<T> {
         assert!(cfg.capacity > 0, "capacity must be positive");
         let (tx, rx) = bounded(cfg.capacity);
         Self {
-            tx,
+            tx: RwLock::new(Some(tx)),
             rx,
             cfg,
-            closed: AtomicBool::new(false),
             metrics,
         }
     }
@@ -162,11 +160,13 @@ impl<T: Send> MicroBatcher<T> {
     /// Returns [`QueueFull`] when the queue holds `capacity` items or
     /// the batcher is closed.
     pub fn try_submit(&self, item: T) -> Result<(), QueueFull<T>> {
-        if self.closed.load(Ordering::Acquire) {
-            self.metrics.record_queue_rejection();
-            return Err(QueueFull(item));
-        }
-        match self.tx.try_send(item) {
+        // The read guard lives to the end of the `match`, so a submit
+        // either lands before a concurrent `close` or is refused.
+        let sent = match self.tx.read().as_ref() {
+            Some(tx) => tx.try_send(item),
+            None => Err(TrySendError::Disconnected(item)),
+        };
+        match sent {
             Ok(()) => {
                 self.metrics.record_item_enqueued();
                 self.metrics.observe_queue_depth(self.rx.len() as u64);
@@ -182,118 +182,63 @@ impl<T: Send> MicroBatcher<T> {
     /// Blocking submit: waits until the queue has room (backpressure by
     /// stalling the producer instead of rejecting).
     ///
+    /// Sends on a clone of the sender, so a producer stalled on a full
+    /// queue never holds up [`close`](Self::close).
+    ///
     /// # Panics
     ///
     /// Panics if the batcher was closed.
     pub fn submit_blocking(&self, item: T) {
-        assert!(
-            !self.closed.load(Ordering::Acquire),
-            "submit on closed batcher"
-        );
+        let tx = self
+            .tx
+            .read()
+            .as_ref()
+            .cloned()
+            .expect("submit on closed batcher");
         // `expect` would need `T: Debug`; `is_ok` keeps `T` unconstrained.
         assert!(
-            self.tx.send(item).is_ok(),
+            tx.send(item).is_ok(),
             "queue receiver alive while batcher alive"
         );
         self.metrics.record_item_enqueued();
         self.metrics.observe_queue_depth(self.rx.len() as u64);
     }
 
-    /// Marks the queue closed: producers are rejected, and the consumer
-    /// drains what is left, then gets `None`.
+    /// Closes the queue: producers are rejected, and the consumer
+    /// drains what is left, then gets `None`. Closing drops the queue's
+    /// sender, which also wakes a consumer blocked on an empty queue.
     ///
     /// # Drain-then-stop contract
     ///
     /// `close` never discards work. Every item that was accepted by
     /// [`try_submit`](Self::try_submit) / [`submit_blocking`](Self::submit_blocking)
     /// before the close is still delivered — in submission order — by
-    /// subsequent [`next_batch`](Self::next_batch) calls (or collected
-    /// by [`drain`](Self::drain)); only after the queue is empty does
-    /// `next_batch` return `None`. This is what lets a serving loop
+    /// subsequent [`next_batch`](Self::next_batch) calls, which do not
+    /// block once the batcher is closed; only after the queue is empty
+    /// does `next_batch` return `None`. This is what lets a serving loop
     /// shut down gracefully: stop admitting, flush in-flight requests,
-    /// then stop. Pinned by `close_flushes_in_flight_items`.
+    /// then stop. Pinned by `close_wakes_a_blocked_consumer_and_keeps_accepted_items`.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Closes the batcher and drains every remaining item, in
-    /// submission order.
-    ///
-    /// Intended for graceful shutdown: after the consumer loop exits
-    /// (or when no consumer is running), `drain` hands back whatever
-    /// is still queued so the caller can fail those requests cleanly
-    /// (e.g. `afpr-serve` answers them with `503 shutting_down`)
-    /// instead of leaving producers blocked on replies that never
-    /// come. Items accepted by a racing `try_submit` that overlapped
-    /// the close are caught here too.
-    #[must_use]
-    pub fn drain(&self) -> Vec<T> {
-        self.close();
-        let mut out = Vec::with_capacity(self.rx.len());
-        while let Ok(item) = self.rx.try_recv() {
-            out.push(item);
-        }
-        out
+        *self.tx.write() = None;
     }
 
     /// Whether [`close`](Self::close) was called.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
+        self.tx.read().is_none()
     }
 
     /// Blocks for the next micro-batch.
     ///
-    /// Returns as soon as `batch_size` items are collected, or when
-    /// `max_wait` has elapsed since the batch's first item arrived.
+    /// Waits only for the batch's first item, then adds what is already
+    /// queued, up to `batch_size`, and returns without waiting for more.
     /// Returns `None` once the batcher is closed *and* drained.
     #[must_use]
     pub fn next_batch(&self) -> Option<Vec<T>> {
-        // Wait for the batch's first item, watching for close.
-        let first = loop {
-            match self.rx.try_recv() {
-                Ok(item) => break item,
-                Err(_) => {
-                    if self.closed.load(Ordering::Acquire) {
-                        // Re-check: an item may have landed between the
-                        // failed recv and the close flag read.
-                        match self.rx.try_recv() {
-                            Ok(item) => break item,
-                            Err(_) => return None,
-                        }
-                    }
-                    if let Ok(item) = self.rx.recv_timeout(IDLE_POLL) {
-                        break item;
-                    }
-                }
-            }
-        };
-
+        let first = self.rx.recv().ok()?;
         let mut batch = Vec::with_capacity(self.cfg.batch_size);
         batch.push(first);
-        let deadline = Instant::now() + self.cfg.max_wait;
-        while batch.len() < self.cfg.batch_size {
-            // Drain whatever is already queued without waiting.
-            match self.rx.try_recv() {
-                Ok(item) => {
-                    batch.push(item);
-                    continue;
-                }
-                Err(_) => {
-                    if self.closed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match self.rx.recv_timeout(deadline - now) {
-                        Ok(item) => batch.push(item),
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
+        batch.extend(iter::from_fn(|| self.rx.try_recv().ok()).take(self.cfg.batch_size - 1));
         self.metrics.record_batch_flushed(batch.len() as u64);
         Some(batch)
     }
@@ -310,28 +255,11 @@ impl<T: Send> MicroBatcher<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::time::Duration;
 
-    #[test]
-    fn batches_respect_size_limit() {
-        let b: MicroBatcher<u32> = MicroBatcher::new(BatchConfig {
-            batch_size: 3,
-            capacity: 16,
-            ..BatchConfig::default()
-        });
-        for i in 0..7 {
-            b.try_submit(i).unwrap();
-        }
-        b.close();
-        let mut seen = Vec::new();
-        let mut sizes = Vec::new();
-        b.run(|batch| {
-            sizes.push(batch.len());
-            seen.extend(batch);
-        });
-        assert_eq!(seen, (0..7).collect::<Vec<_>>());
-        assert_eq!(sizes, vec![3, 3, 1]);
-    }
+    use crossbeam::channel::unbounded;
+
+    use super::*;
 
     #[test]
     fn backpressure_rejects_when_full() {
@@ -349,74 +277,117 @@ mod tests {
         assert_eq!(snap.queue_depth_hwm, 2);
     }
 
+    /// Bound on every handshake wait, so a batcher that lingers for a
+    /// partner or never wakes fails the test instead of hanging it.
+    const HANDSHAKE: Duration = Duration::from_secs(10);
+
+    /// A consumer thread that calls `next_batch` once per step and
+    /// reports the result. Between a result and its next step it is
+    /// busy, so the test decides what is queued when it takes a batch.
+    struct Consumer {
+        step: Sender<()>,
+        out: Receiver<Option<Vec<u32>>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Consumer {
+        fn spawn(b: &Arc<MicroBatcher<u32>>) -> Self {
+            let (step, steps) = unbounded();
+            let (report, out) = unbounded();
+            let b = Arc::clone(b);
+            let thread = std::thread::spawn(move || {
+                for () in &steps {
+                    if report.send(b.next_batch()).is_err() {
+                        break;
+                    }
+                }
+            });
+            Self { step, out, thread }
+        }
+
+        fn step(&self) {
+            self.step.send(()).expect("consumer alive");
+        }
+
+        fn result(&self) -> Option<Vec<u32>> {
+            self.out
+                .recv_timeout(HANDSHAKE)
+                .expect("next_batch returns within the handshake bound")
+        }
+
+        fn next(&self) -> Option<Vec<u32>> {
+            self.step();
+            self.result()
+        }
+
+        fn join(self) {
+            drop(self.step);
+            self.thread.join().expect("consumer thread");
+        }
+    }
+
+    fn shared(batch_size: usize) -> Arc<MicroBatcher<u32>> {
+        Arc::new(MicroBatcher::new(BatchConfig {
+            batch_size,
+            capacity: 64,
+        }))
+    }
+
     #[test]
-    fn closed_batcher_rejects_and_drains() {
-        let b: MicroBatcher<u32> = MicroBatcher::new(BatchConfig::default());
-        b.try_submit(9).unwrap();
+    fn lone_item_is_returned_without_waiting_for_a_partner() {
+        let b = shared(64);
+        let c = Consumer::spawn(&b);
+        c.step(); // the consumer blocks on the empty queue
+        b.try_submit(1).unwrap();
+        // The producer holds its second item until the first batch is
+        // back: a batcher that waits for a partner times out here.
+        assert_eq!(c.result(), Some(vec![1]));
+        b.try_submit(2).unwrap();
+        assert_eq!(c.next(), Some(vec![2]));
+        c.join();
+        assert_eq!(b.metrics().snapshot().batches_flushed, 2);
+    }
+
+    #[test]
+    fn items_queued_while_busy_come_back_as_one_ordered_capped_batch() {
+        let b = shared(4);
+        let c = Consumer::spawn(&b);
+        b.try_submit(0).unwrap();
+        assert_eq!(c.next(), Some(vec![0]));
+        // The consumer is busy with batch [0] until its next step.
+        for i in 1..=6 {
+            b.try_submit(i).unwrap();
+        }
+        assert_eq!(c.next(), Some(vec![1, 2, 3, 4]));
+        assert_eq!(c.next(), Some(vec![5, 6]));
+        c.join();
+        let snap = b.metrics().snapshot();
+        assert_eq!((snap.items_enqueued, snap.batches_flushed), (7, 3));
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_consumer_and_keeps_accepted_items() {
+        let b = shared(4);
+        let c = Consumer::spawn(&b);
+        c.step(); // the consumer blocks on the empty queue
+        b.close();
+        assert_eq!(c.result(), None);
+        c.join();
+
+        // Items accepted before the close all come back, in order,
+        // before `None`; later submits are refused.
+        let b = shared(4);
+        for i in 0..6 {
+            b.try_submit(i).unwrap();
+        }
         b.close();
         assert!(b.is_closed());
-        assert_eq!(b.try_submit(10), Err(QueueFull(10)));
-        assert_eq!(b.next_batch(), Some(vec![9]));
-        assert_eq!(b.next_batch(), None);
-    }
-
-    #[test]
-    fn close_flushes_in_flight_items() {
-        // Drain-then-stop: items accepted before close are all
-        // delivered, in order, before `next_batch` returns `None`.
-        let b: MicroBatcher<u32> = MicroBatcher::new(BatchConfig {
-            batch_size: 4,
-            capacity: 64,
-            ..BatchConfig::default()
-        });
-        for i in 0..10 {
-            b.try_submit(i).unwrap();
-        }
-        b.close();
-        let mut seen = Vec::new();
-        b.run(|batch| seen.extend(batch));
-        assert_eq!(seen, (0..10).collect::<Vec<_>>(), "no item dropped");
-        assert_eq!(b.next_batch(), None);
-    }
-
-    #[test]
-    fn drain_closes_and_returns_pending_items_in_order() {
-        let b: MicroBatcher<u32> = MicroBatcher::new(BatchConfig::default());
-        for i in 0..5 {
-            b.try_submit(i).unwrap();
-        }
-        assert_eq!(b.drain(), vec![0, 1, 2, 3, 4]);
-        assert!(b.is_closed(), "drain implies close");
-        assert!(b.is_empty());
-        assert_eq!(b.try_submit(99), Err(QueueFull(99)));
-        assert_eq!(b.next_batch(), None);
-        assert_eq!(b.drain(), Vec::<u32>::new(), "second drain is empty");
-    }
-
-    #[test]
-    fn max_wait_flushes_partial_batches() {
-        let b = Arc::new(MicroBatcher::new(BatchConfig {
-            batch_size: 64,
-            max_wait: Duration::from_millis(5),
-            capacity: 64,
-        }));
-        let producer = {
-            let b = Arc::clone(&b);
-            std::thread::spawn(move || {
-                b.submit_blocking(1u32);
-                // Second item arrives long after max_wait.
-                std::thread::sleep(Duration::from_millis(40));
-                b.submit_blocking(2u32);
-                b.close();
-            })
-        };
-        let first = b.next_batch().expect("first batch");
-        assert_eq!(first, vec![1], "partial batch must flush on max_wait");
-        let second = b.next_batch().expect("second batch");
-        assert_eq!(second, vec![2]);
-        producer.join().unwrap();
-        assert_eq!(b.next_batch(), None);
-        assert_eq!(b.metrics().snapshot().batches_flushed, 2);
+        assert_eq!(b.try_submit(9), Err(QueueFull(9)));
+        let c = Consumer::spawn(&b);
+        assert_eq!(c.next(), Some(vec![0, 1, 2, 3]));
+        assert_eq!(c.next(), Some(vec![4, 5]));
+        assert_eq!(c.next(), None);
+        c.join();
     }
 
     #[test]
@@ -424,7 +395,6 @@ mod tests {
         let b = Arc::new(MicroBatcher::new(BatchConfig {
             batch_size: 1,
             capacity: 1,
-            ..BatchConfig::default()
         }));
         b.submit_blocking(0u32);
         let producer = {

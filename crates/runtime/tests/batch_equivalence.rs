@@ -16,7 +16,6 @@ proptest! {
         let b: MicroBatcher<u32> = MicroBatcher::new(BatchConfig {
             batch_size,
             capacity: 128,
-            ..BatchConfig::default()
         });
         for &item in &items {
             prop_assert!(b.try_submit(item).is_ok());
@@ -45,7 +44,6 @@ proptest! {
         let b: MicroBatcher<i64> = MicroBatcher::new(BatchConfig {
             batch_size,
             capacity: 128,
-            ..BatchConfig::default()
         });
         for &item in &items {
             prop_assert!(b.try_submit(item).is_ok());
@@ -68,7 +66,6 @@ proptest! {
         let b: Arc<MicroBatcher<(u8, usize)>> = Arc::new(MicroBatcher::new(BatchConfig {
             batch_size: 4,
             capacity: 8,
-            ..BatchConfig::default()
         }));
         let producers: Vec<_> = [(0u8, len_a), (1u8, len_b)]
             .into_iter()

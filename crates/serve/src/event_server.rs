@@ -169,8 +169,8 @@ pub(crate) fn run(
             }
             // Drain-then-stop: connections with nothing left to
             // deliver close now; the rest close as their queues empty
-            // (the execution thread's drain epilogue answers every
-            // queued job, so this converges).
+            // (the execution thread answers every queued job before
+            // it stops, so this converges).
             for token in lp.conns.tokens() {
                 let done = lp
                     .conns

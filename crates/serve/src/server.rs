@@ -48,10 +48,10 @@
 //! requests are flushed by the execution thread
 //! ([`MicroBatcher`] close is drain-then-stop), connection workers
 //! finish their current request and close, and a final
-//! [`ServeSnapshot`] is produced. Requests that race past the close
-//! are caught by [`MicroBatcher::drain`] and answered with
-//! `503 shutting_down` — no producer is ever left waiting on a reply
-//! that will not come.
+//! [`ServeSnapshot`] is produced. Admission and the close are
+//! serialized inside the batcher, so a racing request is either queued
+//! before the close (and served) or refused with a `503` at admission
+//! — no producer is ever left waiting on a reply that will not come.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -131,10 +131,9 @@ pub struct ServerConfig {
     pub engine_threads: Option<usize>,
     /// Admission queue capacity (the backpressure bound).
     pub queue_capacity: usize,
-    /// Micro-batch size flushed to the execution thread.
+    /// Most requests in one batch. The execution thread takes what is
+    /// already queued, up to this many, and never waits for more.
     pub batch_size: usize,
-    /// Micro-batch linger window.
-    pub max_wait: Duration,
     /// Cap on a single frame's payload.
     pub max_frame_bytes: usize,
     /// Socket read timeout; doubles as the shutdown poll period for
@@ -174,7 +173,6 @@ impl Default for ServerConfig {
             engine_threads: None,
             queue_capacity: 64,
             batch_size: 8,
-            max_wait: Duration::from_micros(500),
             max_frame_bytes: DEFAULT_MAX_FRAME,
             read_timeout: Duration::from_millis(20),
             retry_after_ms: 20,
@@ -313,8 +311,6 @@ pub(crate) enum ExecReply {
     Done(Vec<Vec<f32>>, RequestEnergy),
     /// The job's deadline lapsed while it sat in the queue.
     Expired,
-    /// The server began draining before the job could run.
-    ShuttingDown,
     /// The job failed validation at execution time (e.g. an `infer`
     /// stage input whose length only the compiled model can check).
     Failed(Status, String),
@@ -490,7 +486,6 @@ impl Server {
         let batcher = MicroBatcher::with_metrics(
             BatchConfig {
                 batch_size: cfg.batch_size,
-                max_wait: cfg.max_wait,
                 capacity: cfg.queue_capacity,
             },
             Arc::clone(engine.metrics()),
@@ -1072,9 +1067,6 @@ pub(crate) fn resolve_reply(
         Some(ExecReply::Expired) => {
             Response::error(id, Status::DeadlineExpired, "deadline expired while queued")
         }
-        Some(ExecReply::ShuttingDown) => {
-            Response::error(id, Status::ShuttingDown, "server drained before execution")
-        }
         Some(ExecReply::Failed(status, detail)) => {
             if status == Status::Malformed {
                 shared
@@ -1402,8 +1394,8 @@ fn admit(
 
 /// Safety-net wait for a reply when the request has no deadline.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
-/// Extra wait past a request's own deadline (covers batch linger and
-/// the execution thread's expiry sweep).
+/// Extra wait past a request's own deadline (covers the batch ahead
+/// of it on the execution thread and that thread's expiry sweep).
 const REPLY_GRACE: Duration = Duration::from_secs(5);
 
 // ---------------------------------------------------------------------------
@@ -1448,12 +1440,6 @@ fn exec_loop(
         // event-driven transport to deliver them (no-op for blocking).
         shared.wake_transport();
     }
-    // Drain-then-stop epilogue: answer anything that raced past the
-    // close so no connection worker is left waiting.
-    for job in shared.batcher.drain() {
-        let _ = job.reply.send(ExecReply::ShuttingDown);
-    }
-    shared.wake_transport();
 }
 
 fn run_batch(

@@ -55,6 +55,51 @@ fn matvec_and_forward_batch_bit_identical_to_direct_accelerator() {
     assert_eq!(snapshot.protocol_errors, 0);
 }
 
+/// Although the batcher never waits for a partner, requests that queue
+/// behind a busy execution thread share a batch, and each answer keeps
+/// the in-process accelerator's bits for its input (the demo model
+/// draws no noise, so batch position cannot change them).
+#[test]
+fn requests_queued_behind_a_busy_exec_thread_share_a_batch() {
+    const SEED: u64 = 31;
+    const CLIENTS: usize = 6;
+    const K: usize = 256;
+    let cfg = ServerConfig {
+        exec_delay: Duration::from_millis(150),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(cfg, ServeModel::demo(SEED)).expect("starts");
+    let addr = server.local_addr();
+    let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let threads: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connects");
+                start.wait();
+                client.matvec(ServeModel::demo_input(K, i)).expect("matvec")
+            })
+        })
+        .collect();
+
+    let (mut reference, handle) = ServeModel::demo(SEED).into_parts();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (i, t) in threads.into_iter().enumerate() {
+        let served = t.join().expect("client thread");
+        let golden = reference.matvec(handle, &ServeModel::demo_input(K, i));
+        assert_eq!(bits(&served), bits(&golden), "input {i}");
+    }
+
+    let runtime = server.shutdown().runtime;
+    assert_eq!(runtime.items_enqueued, CLIENTS as u64);
+    assert!(
+        runtime.batches_flushed < runtime.items_enqueued,
+        "queued requests must share a batch: {} batches for {} requests",
+        runtime.batches_flushed,
+        runtime.items_enqueued
+    );
+}
+
 /// `matvec_partial` shards served by *separate* backend processes
 /// reduce — in shard order, `PartialSumAdder` fold — to the exact bits
 /// of the single-node matvec: the distribution seam is invisible to
