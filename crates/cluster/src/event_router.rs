@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, SENTINEL_BASE};
 use afpr_runtime::RejectReason;
 use afpr_serve::protocol;
-use afpr_serve::{Op, Request, Response, Status, PROTOCOL_VERSION};
+use afpr_serve::{Encoding, Op, Request, Response, Status, PROTOCOL_VERSION};
 use afpr_xbar::PartialSumAdder;
 
 use crate::plan::{PipelinePlan, ReplicatedShardPlan};
@@ -88,7 +88,9 @@ enum Entry {
 
 struct ClientConn {
     io: FrameConn,
-    queue: VecDeque<Entry>,
+    /// Response slots in request order, each with the encoding its
+    /// request arrived in — the one its answer goes out in.
+    queue: VecDeque<(Encoding, Entry)>,
     interest: Interest,
     close_after_flush: bool,
 }
@@ -383,7 +385,8 @@ impl EventRouter<'_> {
                     let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
                         return;
                     };
-                    c.queue.push_back(Entry::Ready(Box::new(resp)));
+                    c.queue
+                        .push_back((Encoding::Json, Entry::Ready(Box::new(resp))));
                     c.close_after_flush = true;
                     break;
                 }
@@ -406,14 +409,15 @@ impl EventRouter<'_> {
 
     fn on_client_frame(&mut self, token: u64, payload: &[u8]) {
         let t0 = Instant::now();
+        let enc = Encoding::of(payload);
         let req = match protocol::parse_message::<Request>(payload) {
             Ok(req) => req,
             Err(e) => {
-                // Bad JSON inside a good frame: answer 400, keep the
-                // connection — framing is in sync.
+                // Undecodable payload inside a good frame: answer 400,
+                // keep the connection — framing is in sync.
                 let resp = self.shared.reject_malformed(0, e);
                 if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back(Entry::Ready(Box::new(resp)));
+                    c.queue.push_back((enc, Entry::Ready(Box::new(resp))));
                 }
                 return;
             }
@@ -425,7 +429,7 @@ impl EventRouter<'_> {
                     .metrics
                     .record_request(op, resp.is_ok(), t0.elapsed());
                 if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back(Entry::Ready(resp));
+                    c.queue.push_back((enc, Entry::Ready(resp)));
                     if op == Op::Shutdown {
                         c.close_after_flush = true;
                     }
@@ -433,7 +437,7 @@ impl EventRouter<'_> {
             }
             Admit::Started(machine) => {
                 if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back(Entry::Waiting { op, t0, machine });
+                    c.queue.push_back((enc, Entry::Waiting { op, t0, machine }));
                 }
                 self.kick(machine);
             }
@@ -607,7 +611,7 @@ impl EventRouter<'_> {
         };
         let mut resp = Some(resp);
         let mut meta = None;
-        for entry in c.queue.iter_mut() {
+        for (_, entry) in c.queue.iter_mut() {
             if let Entry::Waiting { op, t0, machine } = entry {
                 if *machine == mid {
                     meta = Some((*op, *t0));
@@ -629,11 +633,11 @@ impl EventRouter<'_> {
                 return;
             };
             match c.queue.front() {
-                Some(Entry::Ready(_)) => {
-                    let Some(Entry::Ready(resp)) = c.queue.pop_front() else {
+                Some((_, Entry::Ready(_))) => {
+                    let Some((enc, Entry::Ready(resp))) = c.queue.pop_front() else {
                         unreachable!("front() said Ready");
                     };
-                    match protocol::encode_message(&resp) {
+                    match enc.encode(&*resp) {
                         Ok(payload) => c.io.queue_frame(&payload),
                         Err(_) => {
                             self.close_client(token);
@@ -641,7 +645,7 @@ impl EventRouter<'_> {
                         }
                     }
                 }
-                Some(Entry::Waiting { .. }) | None => break,
+                Some((_, Entry::Waiting { .. })) | None => break,
             }
         }
         self.client_finish_io(token);

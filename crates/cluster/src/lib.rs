@@ -1,7 +1,9 @@
 //! # afpr-cluster — horizontally scalable serving tier
 //!
 //! A coordinator/router process that fronts N [`afpr_serve`] backends
-//! and exposes the *same* length-prefixed JSON wire protocol, so the
+//! and exposes the *same* length-prefixed wire protocol (binary
+//! data-plane frames, JSON for control ops and hand-written clients,
+//! each request answered in its own encoding), so the
 //! existing [`afpr_serve::Client`], [`afpr_serve::RetryingClient`] and
 //! the `loadgen` binary work against a cluster unchanged.
 //!

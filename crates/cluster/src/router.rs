@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use afpr_models::ModelEntrySnapshot;
 use afpr_power::EnergyRoutingPolicy;
 use afpr_runtime::RejectReason;
-use afpr_serve::protocol::{self, FrameError};
+use afpr_serve::protocol::{self, Encoding, FrameError};
 use afpr_serve::{
     Client, ClientError, HealthInfo, HealthState, Op, Request, Response, Status, Transport,
     DEFAULT_MAX_FRAME, MAX_DEADLINE_MS, PROTOCOL_VERSION,
@@ -1071,16 +1071,13 @@ fn handle_frame<W: Write>(
     t0: Instant,
     writer: &mut W,
 ) -> bool {
+    // Answer in the encoding the request arrived in.
+    let enc = Encoding::of(payload);
     let req = match protocol::parse_message::<Request>(payload) {
         Ok(req) => req,
         Err(e) => {
-            shared
-                .metrics
-                .serve()
-                .runtime()
-                .record_rejection(RejectReason::Malformed);
-            let resp = Response::error(0, Status::Malformed, e);
-            return protocol::write_message(writer, &resp).is_ok();
+            let resp = shared.reject_malformed(0, e);
+            return enc.write(writer, &resp).is_ok();
         }
     };
     let op = req.op;
@@ -1090,7 +1087,7 @@ fn handle_frame<W: Write>(
         .metrics
         .record_request(op, resp.is_ok(), t0.elapsed());
     debug_assert_eq!(resp.id, id);
-    if protocol::write_message(writer, &resp).is_err() {
+    if enc.write(writer, &resp).is_err() {
         return false;
     }
     op != Op::Shutdown

@@ -4,15 +4,20 @@
 //! yields a structured `503` within the caller's deadline instead of a
 //! hang.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use afpr_cluster::{ClusterConfig, Placement, Router};
+use afpr_models::{ModelRegistry, RegistryConfig};
 use afpr_serve::{
     Client, ClientError, HealthState, RetryPolicy, RetryingClient, ServeModel, Server,
     ServerConfig, Status,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+#[path = "../../serve/tests/common/json_frames.rs"]
+mod json_frames;
 
 const K: usize = 256;
 const N: usize = 128;
@@ -149,6 +154,38 @@ proptest! {
         for b in backends {
             let _ = b.shutdown();
         }
+    }
+}
+
+/// Hand-written JSON clients are served unchanged through a replicated
+/// router: it decodes their JSON, calls a backend in binary and answers
+/// in JSON, with the same bits a binary client gets from a twin
+/// cluster. A sequential client always lands on the least-loaded,
+/// lowest slot, so both clusters' backends see the same history.
+#[test]
+fn json_text_frames_through_router_match_binary_bit_for_bit() {
+    const SEED: u64 = 67;
+    let cluster = || {
+        let backends: Vec<Server> = (0..2)
+            .map(|_| {
+                let registry = Arc::new(ModelRegistry::new(RegistryConfig::new(2, SEED)));
+                let model = ServeModel::demo(SEED).with_registry(registry);
+                Server::start(ServerConfig::default(), model).expect("backend starts")
+            })
+            .collect();
+        let router = start_router(&backends, Placement::Replicated);
+        (backends, router)
+    };
+    let (json_backends, json_router) = cluster();
+    let (binary_backends, binary_router) = cluster();
+    json_frames::assert_match_binary(json_router.local_addr(), binary_router.local_addr());
+    for router in [json_router, binary_router] {
+        let snap = router.shutdown();
+        let ok: u64 = snap.router.per_op.iter().map(|o| o.ok).sum();
+        assert_eq!(ok, 4, "every data-plane op served");
+    }
+    for b in json_backends.into_iter().chain(binary_backends) {
+        let _ = b.shutdown();
     }
 }
 

@@ -1,5 +1,5 @@
 //! Runtime observability: lock-free counters for the hot path, a
-//! coarse log₂ latency histogram, and per-layer wall-time accounting.
+//! log-linear latency histogram, and per-layer wall-time accounting.
 //!
 //! Counter updates on the job hot path are single atomic RMW
 //! operations (`Relaxed` ordering is enough: the counters are
@@ -17,14 +17,20 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-/// Number of log₂ latency buckets (covers 1 ns … ≳ 580 years).
-const BUCKETS: usize = 64;
+/// log₂ of the linear sub-buckets per octave.
+const SUB_BITS: u32 = 3;
+/// Linear sub-buckets per octave.
+const SUB: usize = 1 << SUB_BITS;
+/// `SUB` exact buckets for 0…7 ns, then `SUB` per octave up to
+/// `u64::MAX` ns.
+const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
-/// A log₂ histogram of nanosecond durations.
+/// A log-linear histogram of nanosecond durations.
 ///
-/// Bucket `i` counts samples with `floor(log2(ns)) == i` (bucket 0
-/// additionally holds 0-ns samples); quantiles are resolved to the
-/// bucket's upper bound, i.e. within a factor of 2 of the true value.
+/// Durations below 8 ns get one bucket each; every octave
+/// `[2^e, 2^(e+1))` above is split into 8 equal sub-buckets.
+/// Quantiles are resolved to their bucket's upper bound, which is at
+/// most 12.5 % above the true value.
 #[derive(Debug)]
 pub struct Histogram {
     counts: [u64; BUCKETS],
@@ -46,7 +52,11 @@ impl Default for Histogram {
 
 impl Histogram {
     fn bucket(ns: u64) -> usize {
-        (63 - ns.max(1).leading_zeros()) as usize
+        if ns < SUB as u64 {
+            return ns as usize;
+        }
+        let shift = 63 - ns.leading_zeros() - SUB_BITS;
+        SUB * (1 + shift as usize) + (ns >> shift) as usize - SUB
     }
 
     /// Records one duration.
@@ -112,11 +122,15 @@ impl Histogram {
 }
 
 fn upper_bound(bucket: usize) -> u64 {
-    if bucket >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << (bucket + 1)) - 1
+    if bucket < SUB {
+        return bucket as u64;
     }
+    // Bucket `SUB * (1 + shift) + j` holds `(SUB + j) << shift` up to
+    // one below `(SUB + j + 1) << shift`; the top bucket ends at
+    // `u64::MAX` without overflowing.
+    let shift = (bucket / SUB - 1) as u32;
+    let lower = ((SUB + bucket % SUB) as u64) << shift;
+    lower + ((1u64 << shift) - 1)
 }
 
 /// Frozen view of the job-latency histogram.
@@ -126,11 +140,11 @@ pub struct LatencySnapshot {
     pub count: u64,
     /// Mean latency in nanoseconds.
     pub mean_ns: f64,
-    /// Median (upper bucket bound), nanoseconds.
+    /// Median (upper bucket bound, ≤ 12.5 % high), nanoseconds.
     pub p50_ns: u64,
-    /// 95th percentile (upper bucket bound), nanoseconds.
+    /// 95th percentile (upper bucket bound, ≤ 12.5 % high), nanoseconds.
     pub p95_ns: u64,
-    /// 99th percentile (upper bucket bound), nanoseconds.
+    /// 99th percentile (upper bucket bound, ≤ 12.5 % high), nanoseconds.
     pub p99_ns: u64,
     /// Largest observed latency, nanoseconds.
     pub max_ns: u64,
@@ -556,10 +570,59 @@ mod tests {
             h.observe(Duration::from_nanos(10_000));
         }
         assert_eq!(h.count(), 100);
-        // p50 resolves within its power-of-two bucket (64..127 ns).
+        // p50 resolves within its sub-bucket (96..103 ns).
         assert!(h.quantile_ns(0.5) >= 100 && h.quantile_ns(0.5) < 256);
         assert!(h.quantile_ns(0.99) >= 8192);
         assert_eq!(h.quantile_ns(1.0), 10_000);
+    }
+
+    #[test]
+    fn bucket_bounds_tile_the_range() {
+        for i in 0..BUCKETS - 1 {
+            assert_eq!(Histogram::bucket(upper_bound(i)), i);
+            assert_eq!(Histogram::bucket(upper_bound(i) + 1), i + 1);
+        }
+        assert_eq!(Histogram::bucket(u64::MAX), BUCKETS - 1);
+        assert_eq!(upper_bound(BUCKETS - 1), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_error_is_within_an_eighth_from_1us_to_10s() {
+        // Log-uniform and clustered samples between 1 µs and 10 s; the
+        // reported p50/p95/p99 sit at or above the exact order
+        // statistic, by at most 12.5 %.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for spread in [7.0, 1.0, 0.05] {
+            for centre in [3.0, 4.5, 6.0, 8.5] {
+                let mut h = Histogram::default();
+                let mut exact: Vec<u64> = (0..2_000)
+                    .map(|_| {
+                        let log10 = (centre + spread * (next() - 0.5)).clamp(3.0, 10.0);
+                        10f64.powf(log10) as u64
+                    })
+                    .collect();
+                for &ns in &exact {
+                    h.observe(Duration::from_nanos(ns));
+                }
+                exact.sort_unstable();
+                for q in [0.50, 0.95, 0.99] {
+                    let rank = (q * exact.len() as f64).ceil() as usize;
+                    let truth = exact[rank - 1];
+                    let got = h.quantile_ns(q);
+                    let err = (got as f64 - truth as f64) / truth as f64;
+                    assert!(
+                        (0.0..=0.125).contains(&err),
+                        "q{q} of 10^({centre}±{spread}): {got} vs exact {truth}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

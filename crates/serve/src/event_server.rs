@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, WakerSource, SENTINEL_BASE};
 use crossbeam::channel::TryRecvError;
 
-use crate::protocol::{self, Op, Request, Response, Status};
+use crate::protocol::{self, Encoding, Op, Request, Response, Status};
 use crate::server::{
     dispatch_admit, reject_malformed, resolve_reply, Admission, PendingExec, Shared,
 };
@@ -89,7 +89,9 @@ enum Entry {
 
 struct Conn {
     io: FrameConn,
-    queue: VecDeque<Entry>,
+    /// Response slots in request order, each with the encoding its
+    /// request arrived in — the one its answer goes out in.
+    queue: VecDeque<(Encoding, Entry)>,
     interest: Interest,
     /// Deliver what is queued, then close (EOF seen, fatal framing
     /// error answered, `shutdown` served, or drain in progress).
@@ -100,7 +102,7 @@ impl Conn {
     fn has_waiting(&self) -> bool {
         self.queue
             .iter()
-            .any(|e| matches!(e, Entry::Waiting { .. }))
+            .any(|(_, e)| matches!(e, Entry::Waiting { .. }))
     }
 }
 
@@ -283,12 +285,14 @@ impl Loop<'_> {
                 Ok(None) => break,
                 Ok(Some(payload)) => {
                     let t0 = Instant::now();
+                    let enc = Encoding::of(&payload);
                     match protocol::parse_message::<Request>(&payload) {
                         Err(e) => {
-                            // Bad JSON inside a good frame: answer 400,
-                            // keep the connection — framing is in sync.
+                            // Undecodable payload inside a good frame:
+                            // answer 400, keep the connection — framing
+                            // is in sync.
                             let resp = reject_malformed(self.shared, 0, e);
-                            conn.queue.push_back(Entry::Ready(Box::new(resp)));
+                            conn.queue.push_back((enc, Entry::Ready(Box::new(resp))));
                         }
                         Ok(req) => {
                             let op = req.op;
@@ -299,19 +303,22 @@ impl Loop<'_> {
                                         resp.is_ok(),
                                         t0.elapsed(),
                                     );
-                                    conn.queue.push_back(Entry::Ready(resp));
+                                    conn.queue.push_back((enc, Entry::Ready(resp)));
                                     if op == Op::Shutdown {
                                         conn.close_after_flush = true;
                                     }
                                 }
                                 Admission::Pending(exec) => {
                                     let expires_at = exec.expires_at(t0);
-                                    conn.queue.push_back(Entry::Waiting {
-                                        op,
-                                        t0,
-                                        exec,
-                                        expires_at,
-                                    });
+                                    conn.queue.push_back((
+                                        enc,
+                                        Entry::Waiting {
+                                            op,
+                                            t0,
+                                            exec,
+                                            expires_at,
+                                        },
+                                    ));
                                     self.waiting.insert(token);
                                 }
                             }
@@ -336,7 +343,8 @@ impl Loop<'_> {
                             too_large.announced, too_large.max
                         ),
                     );
-                    conn.queue.push_back(Entry::Ready(Box::new(resp)));
+                    conn.queue
+                        .push_back((Encoding::Json, Entry::Ready(Box::new(resp))));
                     conn.close_after_flush = true;
                 }
             }
@@ -365,20 +373,23 @@ impl Loop<'_> {
         };
         let mut write_failed = false;
         loop {
-            let resp = match conn.queue.front_mut() {
+            let (enc, resp) = match conn.queue.front_mut() {
                 None => break,
-                Some(Entry::Ready(_)) => {
-                    let Some(Entry::Ready(resp)) = conn.queue.pop_front() else {
+                Some((_, Entry::Ready(_))) => {
+                    let Some((enc, Entry::Ready(resp))) = conn.queue.pop_front() else {
                         unreachable!("front() said Ready");
                     };
-                    resp
+                    (enc, resp)
                 }
-                Some(Entry::Waiting {
-                    op,
-                    t0,
-                    exec,
-                    expires_at,
-                }) => {
+                Some((
+                    _,
+                    Entry::Waiting {
+                        op,
+                        t0,
+                        exec,
+                        expires_at,
+                    },
+                )) => {
                     let reply = match exec.rx.try_recv() {
                         Ok(r) => Some(Some(r)),
                         Err(TryRecvError::Disconnected) => Some(None),
@@ -394,17 +405,17 @@ impl Loop<'_> {
                     let (op, t0) = (*op, *t0);
                     // Re-pop to move the pending exec (and its non-Copy
                     // energy-accounting tag) out of the queue slot.
-                    let Some(Entry::Waiting { exec, .. }) = conn.queue.pop_front() else {
+                    let Some((enc, Entry::Waiting { exec, .. })) = conn.queue.pop_front() else {
                         unreachable!("front() said Waiting");
                     };
                     let resp = resolve_reply(self.shared, exec, reply);
                     self.shared
                         .metrics
                         .record_request(op, resp.is_ok(), t0.elapsed());
-                    Box::new(resp)
+                    (enc, Box::new(resp))
                 }
             };
-            match protocol::encode_message(&resp) {
+            match enc.encode(&*resp) {
                 Ok(bytes) => conn.io.queue_frame(&bytes),
                 Err(_) => {
                     write_failed = true;

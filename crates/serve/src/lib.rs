@@ -3,10 +3,13 @@
 //! This crate turns the in-process AFPR-CIM simulator into a small,
 //! dependency-free TCP inference service:
 //!
-//! - **Wire protocol** ([`protocol`]): length-prefixed JSON frames
-//!   (u32 big-endian length + payload), ops `matvec`, `forward_batch`,
-//!   `health`, `metrics`, `shutdown`, HTTP-flavored status codes
-//!   (`200 ok`, `400 malformed`, `503 overloaded`/`shutting_down`,
+//! - **Wire protocol** ([`protocol`]): length-prefixed frames (u32
+//!   big-endian length + payload). The data-plane ops (`matvec`,
+//!   `forward_batch`, `matvec_partial`, `infer`) travel as binary
+//!   payloads with raw little-endian floats; every op, including the
+//!   control ops `health`, `metrics`, `shutdown`, also speaks JSON, and
+//!   each request is answered in its own encoding. HTTP-flavored status
+//!   codes (`200 ok`, `400 malformed`, `503 overloaded`/`shutting_down`,
 //!   `504 deadline_expired`).
 //! - **Server** ([`server`]): acceptor thread + fixed connection
 //!   worker pool + one execution thread that owns the accelerator and
@@ -30,8 +33,9 @@
 //! same order — the loopback round-trip test pins this.
 //!
 //! The whole crate is `std`-only: no async runtime, no HTTP library,
-//! no TLS. Concurrency comes from threads, and framing is ~100 lines
-//! of code auditable in one sitting.
+//! no TLS. Concurrency comes from threads, and the framing and both
+//! payload encodings live in one module, [`protocol`], auditable in one
+//! sitting.
 //!
 //! ## Quickstart
 //!
@@ -67,7 +71,8 @@ pub use health::{HealthMachine, HealthPolicy, HealthSnapshot, HealthState};
 pub use metrics::{OpSnapshot, ServeMetrics, ServeSnapshot};
 pub use protocol::{
     encode_message, parse_message, read_frame, read_frame_with_budget, write_frame, write_message,
-    FrameError, HealthInfo, Op, Request, Response, Status, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    Encoding, FrameError, HealthInfo, Message, Op, Request, Response, Status, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
 pub use server::{ServeModel, Server, ServerConfig, Transport, MAX_DEADLINE_MS};

@@ -5,9 +5,9 @@
 //! Every message — request or response — is one *frame*:
 //!
 //! ```text
-//! +----------------------+----------------------+
-//! | length: u32, BE      | payload: JSON, UTF-8 |
-//! +----------------------+----------------------+
+//! +----------------------+------------------------+
+//! | length: u32, BE      | payload: binary | JSON |
+//! +----------------------+------------------------+
 //! ```
 //!
 //! The 4-byte big-endian length counts payload bytes only. A peer that
@@ -16,12 +16,36 @@
 //! protocol error. Frames larger than the configured limit are
 //! rejected without allocating.
 //!
+//! # Encodings
+//!
+//! The first payload byte tells the two [`Encoding`]s apart:
+//!
+//! - **Binary** — first byte `0x00`, which no JSON text can start
+//!   with. Only the data-plane ops (`matvec`, `matvec_partial`,
+//!   `forward_batch`, `infer`) and their answers have this form: a
+//!   fixed little-endian header, then the present optional fields in
+//!   declaration order. Every `f32`/`f64` travels as its raw bits, NaN
+//!   and ±Inf included; arrays are a `u32` count then the elements,
+//!   strings a `u32` byte length then UTF-8.
+//!
+//!   ```text
+//!   0x00 | kind u8 (0 req, 1 resp) | op/status u8 | id u64
+//!        | proto_version u32 | presence u16 | [code u16, resp only] | fields…
+//!   ```
+//! - **JSON** — one object. Every op has this form, and it is the only
+//!   one for the control ops (`health`, `metrics`, `shutdown`,
+//!   `register`, `deregister`), whose answers nest whole snapshots.
+//!
+//! [`encode_message`] picks binary for data-plane requests and JSON for
+//! everything else; [`parse_message`] reads either. Servers and routers
+//! answer each request in the encoding it arrived in
+//! ([`Encoding::of`]), so hand-written JSON clients keep working.
+//!
 //! # Requests
 //!
-//! The payload is a JSON object with an `op` field naming the request
-//! type — `"matvec"`, `"forward_batch"`, `"infer"`, `"health"`,
-//! `"metrics"` or `"shutdown"` — plus op-specific fields (see
-//! [`Request`]). Optional
+//! A request names its type in `op` — `"matvec"`, `"forward_batch"`,
+//! `"infer"`, `"health"`, `"metrics"` or `"shutdown"` — plus
+//! op-specific fields (see [`Request`]). Optional
 //! `deadline_ms` gives the server a time budget measured from the
 //! moment it reads the frame; requests whose budget has lapsed are
 //! rejected before they touch the engine.
@@ -34,9 +58,11 @@
 //! `504` deadline expired). Payload fields (`output`, `outputs`, `metrics`, …) are
 //! op-specific and `null` when absent. Malformed *payloads* inside a
 //! well-formed frame get a `400` response and the connection stays
-//! usable; malformed *framing* (oversized or truncated frames) ends
-//! the connection after a best-effort `400`.
+//! usable — for a binary payload that is a binary `400` with `id` 0;
+//! malformed *framing* (oversized or truncated frames) ends the
+//! connection after a best-effort `400`.
 
+use serde::de::DeserializeOwned;
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer, Value};
 use std::io::{self, Read, Write};
 
@@ -246,6 +272,17 @@ impl Op {
             Op::Deregister => 8,
         }
     }
+
+    /// Whether the op carries tensors (`matvec`, `forward_batch`,
+    /// `matvec_partial`, `infer`) and so has a binary encoding. The
+    /// others are control ops and speak JSON only.
+    #[must_use]
+    pub fn is_data_plane(self) -> bool {
+        matches!(
+            self,
+            Op::Matvec | Op::ForwardBatch | Op::MatvecPartial | Op::Infer
+        )
+    }
 }
 
 impl std::fmt::Display for Op {
@@ -276,7 +313,8 @@ impl Deserialize for Op {
     }
 }
 
-/// Response status. Serialized as its snake_case wire name.
+/// Response status. Serialized as its snake_case wire name; its binary
+/// status byte is the declaration index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
     /// Request served.
@@ -907,41 +945,459 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Serializes a message and writes it as one frame.
+/// Encodes a message in its default [`Encoding`] and writes it as one
+/// frame.
 ///
 /// # Errors
 ///
-/// Propagates socket errors; serialization failure is reported as
-/// `InvalidData` (it would indicate a bug in the message type).
-pub fn write_message<W: Write, T: serde::Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let json = encode_message(msg)?;
-    write_frame(w, &json)
+/// Propagates socket errors and [`encode_message`] failures.
+pub fn write_message<W: Write, T: Message>(w: &mut W, msg: &T) -> io::Result<()> {
+    write_frame(w, &encode_message(msg)?)
 }
 
-/// Serializes a message to the exact bytes `write_message` would frame.
-///
-/// The event-driven transport queues these bytes through its own
-/// buffered writer; routing both transports through one encoder is
-/// what makes their responses byte-identical.
+/// Encodes a message to the exact bytes `write_message` would frame:
+/// binary for a data-plane [`Request`], JSON for everything else.
 ///
 /// # Errors
 ///
-/// Serialization failure is reported as `InvalidData` (it would
-/// indicate a bug in the message type).
-pub fn encode_message<T: serde::Serialize>(msg: &T) -> io::Result<Vec<u8>> {
-    serde_json::to_string(msg)
-        .map(String::into_bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// See [`Encoding::encode`].
+pub fn encode_message<T: Message>(msg: &T) -> io::Result<Vec<u8>> {
+    msg.encoding().encode(msg)
 }
 
-/// Parses a frame payload as a message.
+/// Parses a frame payload as a message, in whichever [`Encoding`] it
+/// arrived.
 ///
 /// # Errors
 ///
-/// Returns the parse error text (non-UTF-8 payloads included).
-pub fn parse_message<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
+/// Returns the parse error text: malformed JSON or non-UTF-8 text, or
+/// a binary payload that is truncated, overruns the frame, has
+/// trailing bytes, names an unknown or control op or an unknown status,
+/// or carries invalid UTF-8.
+pub fn parse_message<T: Message>(payload: &[u8]) -> Result<T, String> {
+    match Encoding::of(payload) {
+        Encoding::Binary => T::decode_binary(payload),
+        Encoding::Json => {
+            let text =
+                std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
+            serde_json::from_str(text).map_err(|e| e.to_string())
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encodings
+// ---------------------------------------------------------------------------
+
+/// First payload byte of a binary frame. No JSON text starts with it.
+pub const BINARY_MAGIC: u8 = 0x00;
+
+/// Payload encoding of one frame (see the module docs for the layout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// One JSON object: every op, and the only form of control ops.
+    Json,
+    /// Fixed little-endian layout with raw float bits: data-plane
+    /// messages only.
+    Binary,
+}
+
+impl Encoding {
+    /// The encoding a received payload is in — the one its answer
+    /// must use.
+    #[must_use]
+    pub fn of(payload: &[u8]) -> Self {
+        if payload.first() == Some(&BINARY_MAGIC) {
+            Encoding::Binary
+        } else {
+            Encoding::Json
+        }
+    }
+
+    /// Encodes `msg` in this encoding. Both transports encode their
+    /// answers here, which is what makes their responses byte-identical.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the message has no binary form (a control op,
+    /// a response nesting a snapshot, or more than `u32::MAX` bytes),
+    /// or when JSON serialization fails.
+    pub fn encode<T: Message>(self, msg: &T) -> io::Result<Vec<u8>> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        match self {
+            Encoding::Json => serde_json::to_string(msg)
+                .map(String::into_bytes)
+                .map_err(|e| invalid(e.to_string())),
+            Encoding::Binary => msg
+                .encode_binary()
+                .ok_or_else(|| invalid("message has no binary form".to_string())),
+        }
+    }
+
+    /// Encodes `msg` in this encoding and writes it as one frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`Encoding::encode`], plus socket errors.
+    pub fn write<W: Write, T: Message>(self, w: &mut W, msg: &T) -> io::Result<()> {
+        write_frame(w, &self.encode(msg)?)
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Request {}
+    impl Sealed for super::Response {}
+}
+
+/// A wire message — [`Request`] or [`Response`]. Sealed: the binary
+/// layout is defined for exactly these two types.
+pub trait Message: sealed::Sealed + Serialize + DeserializeOwned {
+    /// The encoding [`encode_message`] uses: binary for data-plane
+    /// requests, JSON otherwise.
+    fn encoding(&self) -> Encoding;
+
+    /// The binary payload, or `None` when the message has no binary
+    /// form.
+    fn encode_binary(&self) -> Option<Vec<u8>>;
+
+    /// Decodes a binary payload (first byte [`BINARY_MAGIC`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first malformation found.
+    fn decode_binary(payload: &[u8]) -> Result<Self, String>;
+}
+
+const KIND_REQUEST: u8 = 0;
+const KIND_RESPONSE: u8 = 1;
+/// Offset of the `u16` presence mask: magic, kind, tag, id, version.
+const PRESENCE_AT: usize = 3 + 8 + 4;
+/// Optional fields of each kind, in wire (declaration) order.
+const REQUEST_FIELDS: u32 = 12;
+const RESPONSE_FIELDS: u32 = 7;
+
+impl Message for Request {
+    fn encoding(&self) -> Encoding {
+        if self.op.is_data_plane() {
+            Encoding::Binary
+        } else {
+            Encoding::Json
+        }
+    }
+
+    fn encode_binary(&self) -> Option<Vec<u8>> {
+        if !self.op.is_data_plane() {
+            return None;
+        }
+        let mut w = BinWriter::new(
+            KIND_REQUEST,
+            self.op.index() as u8,
+            self.id,
+            self.proto_version,
+        );
+        w.opt(self.deadline_ms.as_ref(), BinWriter::u64);
+        w.opt(self.input.as_deref(), BinWriter::f32s);
+        w.opt(self.inputs.as_deref(), BinWriter::rows);
+        w.opt(self.row_offset.as_ref(), BinWriter::u64);
+        w.opt(self.rows.as_ref(), BinWriter::u64);
+        w.opt(self.model.as_deref(), BinWriter::string);
+        w.opt(self.format.as_deref(), BinWriter::string);
+        w.opt(self.layer_start.as_ref(), BinWriter::u64);
+        w.opt(self.layer_end.as_ref(), BinWriter::u64);
+        w.opt(self.backend_addr.as_deref(), BinWriter::string);
+        w.opt(self.energy_budget_mj.as_ref(), BinWriter::f64);
+        w.opt(self.allow_downshift.as_ref(), BinWriter::bool);
+        w.finish()
+    }
+
+    fn decode_binary(payload: &[u8]) -> Result<Self, String> {
+        let (mut r, tag, id, proto_version) =
+            BinReader::open(payload, KIND_REQUEST, REQUEST_FIELDS)?;
+        let op = Op::ALL
+            .get(usize::from(tag))
+            .copied()
+            .filter(|op| op.is_data_plane())
+            .ok_or_else(|| format!("binary frame carries op byte {tag}, not a data-plane op"))?;
+        let req = Request {
+            op,
+            id,
+            proto_version,
+            deadline_ms: r.opt(BinReader::u64)?,
+            input: r.opt(BinReader::f32s)?,
+            inputs: r.opt(BinReader::rows)?,
+            row_offset: r.opt(BinReader::u64)?,
+            rows: r.opt(BinReader::u64)?,
+            model: r.opt(BinReader::string)?,
+            format: r.opt(BinReader::string)?,
+            layer_start: r.opt(BinReader::u64)?,
+            layer_end: r.opt(BinReader::u64)?,
+            backend_addr: r.opt(BinReader::string)?,
+            energy_budget_mj: r.opt(BinReader::f64)?,
+            allow_downshift: r.opt(BinReader::bool)?,
+        };
+        r.finish()?;
+        Ok(req)
+    }
+}
+
+impl Message for Response {
+    fn encoding(&self) -> Encoding {
+        Encoding::Json
+    }
+
+    fn encode_binary(&self) -> Option<Vec<u8>> {
+        if self.health.is_some() || self.metrics.is_some() {
+            return None;
+        }
+        let mut w = BinWriter::new(
+            KIND_RESPONSE,
+            self.status as u8,
+            self.id,
+            self.proto_version,
+        );
+        w.fixed(&self.code.to_le_bytes());
+        w.opt(self.output.as_deref(), BinWriter::f32s);
+        w.opt(self.outputs.as_deref(), BinWriter::rows);
+        w.opt(self.partials.as_deref(), BinWriter::rows);
+        w.opt(self.retry_after_ms.as_ref(), BinWriter::u64);
+        w.opt(self.error.as_deref(), BinWriter::string);
+        w.opt(self.energy_mj.as_ref(), BinWriter::f64);
+        w.opt(self.format.as_deref(), BinWriter::string);
+        w.finish()
+    }
+
+    fn decode_binary(payload: &[u8]) -> Result<Self, String> {
+        let (mut r, tag, id, proto_version) =
+            BinReader::open(payload, KIND_RESPONSE, RESPONSE_FIELDS)?;
+        let status = Status::ALL
+            .get(usize::from(tag))
+            .copied()
+            .ok_or_else(|| format!("binary frame carries unknown status byte {tag}"))?;
+        let resp = Response {
+            id,
+            status,
+            code: u16::from_le_bytes(r.array()?),
+            proto_version,
+            output: r.opt(BinReader::f32s)?,
+            outputs: r.opt(BinReader::rows)?,
+            partials: r.opt(BinReader::rows)?,
+            retry_after_ms: r.opt(BinReader::u64)?,
+            error: r.opt(BinReader::string)?,
+            health: None,
+            metrics: None,
+            energy_mj: r.opt(BinReader::f64)?,
+            format: r.opt(BinReader::string)?,
+        };
+        r.finish()?;
+        Ok(resp)
+    }
+}
+
+/// Appends one binary payload: the header, then each optional field
+/// that is present, recording it in the presence mask.
+struct BinWriter {
+    out: Vec<u8>,
+    presence: u16,
+    next_bit: u32,
+}
+
+impl BinWriter {
+    /// Starts a payload with the header; the presence mask is filled
+    /// in by `finish`.
+    fn new(kind: u8, tag: u8, id: u64, proto_version: u32) -> Self {
+        let mut out = Vec::with_capacity(64);
+        out.extend_from_slice(&[BINARY_MAGIC, kind, tag]);
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&proto_version.to_le_bytes());
+        out.extend_from_slice(&[0, 0]);
+        Self {
+            out,
+            presence: 0,
+            next_bit: 0,
+        }
+    }
+
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    fn opt<T: ?Sized>(&mut self, value: Option<&T>, put: fn(&mut Self, &T)) {
+        if let Some(v) = value {
+            self.presence |= 1 << self.next_bit;
+            put(self, v);
+        }
+        self.next_bit += 1;
+    }
+
+    /// A count or byte length. One that exceeds `u32::MAX` also makes
+    /// the payload exceed it, which `finish` refuses.
+    fn len(&mut self, n: usize) {
+        self.fixed(&(n as u32).to_le_bytes());
+    }
+
+    fn u64(&mut self, v: &u64) {
+        self.fixed(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: &f64) {
+        self.fixed(&v.to_le_bytes());
+    }
+
+    fn bool(&mut self, v: &bool) {
+        self.fixed(&[u8::from(*v)]);
+    }
+
+    fn f32s(&mut self, xs: &[f32]) {
+        self.len(xs.len());
+        self.out.reserve(4 * xs.len());
+        for x in xs {
+            self.fixed(&x.to_le_bytes());
+        }
+    }
+
+    fn rows(&mut self, rows: &[Vec<f32>]) {
+        self.len(rows.len());
+        for row in rows {
+            self.f32s(row);
+        }
+    }
+
+    fn string(&mut self, s: &str) {
+        self.len(s.len());
+        self.fixed(s.as_bytes());
+    }
+
+    fn finish(mut self) -> Option<Vec<u8>> {
+        self.out[PRESENCE_AT..PRESENCE_AT + 2].copy_from_slice(&self.presence.to_le_bytes());
+        u32::try_from(self.out.len()).ok().map(|_| self.out)
+    }
+}
+
+/// Reads one binary payload front to back. Every read is bounds-checked
+/// against what is left of the frame, and every count is checked
+/// against the bytes that could hold it before anything is allocated.
+struct BinReader<'a> {
+    rest: &'a [u8],
+    presence: u16,
+    next_bit: u32,
+}
+
+impl<'a> BinReader<'a> {
+    /// Reads the header of a `kind` payload with `fields` optional
+    /// fields; returns the reader positioned at the first field, plus
+    /// the tag byte, id and proto version.
+    fn open(payload: &'a [u8], kind: u8, fields: u32) -> Result<(Self, u8, u64, u32), String> {
+        let mut r = Self {
+            rest: payload,
+            presence: 0,
+            next_bit: 0,
+        };
+        let [magic, got_kind, tag] = r.array()?;
+        if magic != BINARY_MAGIC || got_kind != kind {
+            return Err(format!(
+                "binary frame has kind byte {got_kind}, expected {kind}"
+            ));
+        }
+        let id = u64::from_le_bytes(r.array()?);
+        let version = u32::from_le_bytes(r.array()?);
+        r.presence = u16::from_le_bytes(r.array()?);
+        if r.presence >> fields != 0 {
+            return Err(format!(
+                "binary frame sets unknown field bits {:#06x}",
+                r.presence
+            ));
+        }
+        Ok((r, tag, id, version))
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.rest.len() {
+            return Err(format!(
+                "binary frame truncated: field needs {n} bytes, {} left",
+                self.rest.len()
+            ));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    fn opt<T>(&mut self, read: fn(&mut Self) -> Result<T, String>) -> Result<Option<T>, String> {
+        let present = self.presence >> self.next_bit & 1 == 1;
+        self.next_bit += 1;
+        if present {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// A count of elements at least `unit` bytes each, refused if the
+    /// rest of the frame cannot hold that many.
+    fn count(&mut self, unit: usize) -> Result<usize, String> {
+        let n = u32::from_le_bytes(self.array()?) as usize;
+        match n.checked_mul(unit) {
+            Some(bytes) if bytes <= self.rest.len() => Ok(n),
+            _ => Err(format!(
+                "binary count {n} overruns the frame ({} bytes left)",
+                self.rest.len()
+            )),
+        }
+    }
+
+    fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, String> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        match self.array::<1>()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [b] => Err(format!("binary bool byte {b} is neither 0 nor 1")),
+        }
+    }
+
+    fn f32s(&mut self) -> Result<Vec<f32>, String> {
+        let n = self.count(4)?;
+        let bytes = self.take(n * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of 4")))
+            .collect())
+    }
+
+    fn rows(&mut self) -> Result<Vec<Vec<f32>>, String> {
+        // Each row spends at least its own 4-byte count.
+        let n = self.count(4)?;
+        (0..n).map(|_| self.f32s()).collect()
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        let n = self.count(1)?;
+        std::str::from_utf8(self.take(n)?)
+            .map(str::to_owned)
+            .map_err(|e| format!("binary string is not UTF-8: {e}"))
+    }
+
+    fn finish(self) -> Result<(), String> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "binary frame has {} trailing bytes",
+                self.rest.len()
+            ))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1201,6 +1657,151 @@ mod tests {
     }
 
     #[test]
+    fn default_encoding_is_binary_only_for_data_plane_requests() {
+        for op in Op::ALL {
+            let req = Request::new(op, 1);
+            let bytes = encode_message(&req).unwrap();
+            assert_eq!(Encoding::of(&bytes), req.encoding(), "{op}");
+            if op.is_data_plane() {
+                assert_eq!(bytes[0], BINARY_MAGIC, "{op}");
+            } else {
+                assert_eq!(bytes[0], b'{', "{op}");
+                assert!(
+                    Encoding::Binary.encode(&req).is_err(),
+                    "{op} has no binary form"
+                );
+            }
+        }
+        // Responses default to JSON; snapshot-carrying ones have no
+        // binary form.
+        assert_eq!(encode_message(&Response::ok(1)).unwrap()[0], b'{');
+        let mut resp = Response::ok(1);
+        let runtime = std::sync::Arc::new(afpr_runtime::RuntimeMetrics::new());
+        resp.metrics = Some(crate::metrics::ServeMetrics::new(runtime).snapshot());
+        assert!(Encoding::Binary.encode(&resp).is_err());
+    }
+
+    #[test]
+    fn binary_header_layout_is_pinned() {
+        let req = Request::matvec(0x0102_0304_0506_0708, vec![1.0, f32::NAN]);
+        let bytes = Encoding::Binary.encode(&req).unwrap();
+        let mut want = vec![BINARY_MAGIC, KIND_REQUEST, Op::Matvec.index() as u8];
+        want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        want.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        want.extend_from_slice(&0b10u16.to_le_bytes()); // `input` only
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&1.0f32.to_le_bytes());
+        want.extend_from_slice(&f32::NAN.to_le_bytes());
+        assert_eq!(bytes, want);
+
+        let resp = Response::error(9, Status::OverBudget, "x");
+        let bytes = Encoding::Binary.encode(&resp).unwrap();
+        assert_eq!(&bytes[..3], &[BINARY_MAGIC, KIND_RESPONSE, 6]);
+        assert_eq!(
+            &bytes[PRESENCE_AT + 2..PRESENCE_AT + 4],
+            &429u16.to_le_bytes()
+        );
+        for (i, st) in Status::ALL.into_iter().enumerate() {
+            assert_eq!(st as usize, i, "status byte is the ALL index");
+        }
+    }
+
+    #[test]
+    fn binary_carries_non_finite_floats_bit_exactly() {
+        let odd = [
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            f32::MAX,
+        ];
+        let mut resp = Response::ok(3);
+        resp.output = Some(odd.to_vec());
+        resp.partials = Some(vec![odd.to_vec(), Vec::new()]);
+        resp.energy_mj = Some(f64::NAN);
+        let back: Response = parse_message(&Encoding::Binary.encode(&resp).unwrap()).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(back.output.as_ref().unwrap()), bits(&odd));
+        assert_eq!(bits(&back.partials.as_ref().unwrap()[0]), bits(&odd));
+        assert!(back.partials.as_ref().unwrap()[1].is_empty());
+        assert_eq!(back.energy_mj.unwrap().to_bits(), f64::NAN.to_bits());
+    }
+
+    /// Every way a binary payload can lie is refused with an error —
+    /// no panic, and no allocation beyond what the payload holds.
+    #[test]
+    fn hostile_binary_payloads_are_refused() {
+        let mut req = Request::infer(5, "tiny-mlp", "int8", vec![0.5; 3]);
+        req.inputs = Some(vec![vec![1.0; 2]; 2]);
+        req.allow_downshift = Some(true);
+        let good = Encoding::Binary.encode(&req).unwrap();
+        assert_eq!(parse_message::<Request>(&good).unwrap(), req);
+
+        // Every strict prefix is truncated somewhere.
+        for cut in 0..good.len() {
+            assert!(parse_message::<Request>(&good[..cut]).is_err(), "cut {cut}");
+        }
+        // Trailing bytes.
+        let mut long = good.clone();
+        long.push(0);
+        assert!(parse_message::<Request>(&long)
+            .unwrap_err()
+            .contains("trailing"));
+
+        // Field offsets in `good`: header (17), input count at 17.
+        let input_count = PRESENCE_AT + 2;
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut p = good.clone();
+            p[at..at + bytes.len()].copy_from_slice(bytes);
+            p
+        };
+        for count in [4u32, 1 << 20, u32::MAX] {
+            let e = parse_message::<Request>(&patched(input_count, &count.to_le_bytes()));
+            assert!(e.is_err(), "input count {count}");
+        }
+        // Nested count overrunning the frame.
+        let rows_count = input_count + 4 + 3 * 4;
+        let e = parse_message::<Request>(&patched(rows_count, &u32::MAX.to_le_bytes()));
+        assert!(e.unwrap_err().contains("overruns"));
+        // Unknown op byte, and a control op sent as binary.
+        for op in [
+            9u8,
+            200,
+            Op::Health.index() as u8,
+            Op::Register.index() as u8,
+        ] {
+            let e = parse_message::<Request>(&patched(2, &[op])).unwrap_err();
+            assert!(e.contains("op byte"), "{op}: {e}");
+        }
+        // Unknown presence bits.
+        let e = parse_message::<Request>(&patched(PRESENCE_AT, &0xf000u16.to_le_bytes()));
+        assert!(e.unwrap_err().contains("unknown field bits"));
+        // Invalid UTF-8 inside `model` (its bytes follow its length).
+        let model_at = good
+            .windows(8)
+            .position(|w| w == b"tiny-mlp")
+            .expect("model bytes present");
+        let e = parse_message::<Request>(&patched(model_at, &[0xff]));
+        assert!(e.unwrap_err().contains("UTF-8"));
+        // A bool byte other than 0/1 (the last byte of the payload).
+        let e = parse_message::<Request>(&patched(good.len() - 1, &[2]));
+        assert!(e.unwrap_err().contains("bool"));
+        // A response where a request is expected, and vice versa.
+        let resp = Encoding::Binary.encode(&Response::ok(1)).unwrap();
+        assert!(parse_message::<Request>(&resp).is_err());
+        assert!(parse_message::<Response>(&good).is_err());
+        // Unknown status byte.
+        let mut bad_status = resp.clone();
+        bad_status[2] = 7;
+        assert!(parse_message::<Response>(&bad_status)
+            .unwrap_err()
+            .contains("status byte"));
+    }
+
+    #[test]
     fn half_written_frame_fails_within_assembly_budget() {
         use std::io::Write as _;
         use std::net::{TcpListener, TcpStream};
@@ -1242,5 +1843,92 @@ mod tests {
         );
         drop(reader);
         writer.join().unwrap();
+    }
+
+    /// Both encodings decode every data-plane message to an equal
+    /// value. Floats are finite here because JSON cannot carry NaN or
+    /// ±Inf; `binary_carries_non_finite_floats_bit_exactly` covers
+    /// those.
+    mod both_encodings {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        fn finite(bits: u32) -> f32 {
+            let x = f32::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                bits as f32
+            }
+        }
+
+        fn rows(floats: &[f32], lens: &[usize]) -> Vec<Vec<f32>> {
+            lens.iter()
+                .map(|&n| floats.iter().copied().cycle().take(n).collect())
+                .collect()
+        }
+
+        fn check<T: Message + PartialEq + std::fmt::Debug>(
+            msg: &T,
+        ) -> Result<(), proptest::test_runner::TestCaseError> {
+            let json = Encoding::Json.encode(msg).unwrap();
+            let binary = Encoding::Binary.encode(msg).unwrap();
+            prop_assert_eq!(Encoding::of(&json), Encoding::Json);
+            prop_assert_eq!(Encoding::of(&binary), Encoding::Binary);
+            prop_assert_eq!(&parse_message::<T>(&json).unwrap(), msg);
+            let back = parse_message::<T>(&binary).unwrap();
+            prop_assert_eq!(&back, msg);
+            prop_assert_eq!(Encoding::Binary.encode(&back).unwrap(), binary);
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            fn data_plane_messages_decode_equal_from_both_encodings(
+                tag in 0usize..7,
+                mask in 0u32..1 << REQUEST_FIELDS,
+                id in 0u64..=u64::MAX,
+                bits in prop::collection::vec(0u32..=u32::MAX, 0..24),
+                lens in prop::collection::vec(0usize..6, 0..4),
+                text in prop::sample::select(vec!["", "tiny-mlp", "e3m4", "é🦀", "q\"b\\s\n\t"]),
+                num in 0u64..=u64::MAX,
+                real in -1e300f64..1e300,
+            ) {
+                let floats: Vec<f32> = bits.iter().map(|&b| finite(b)).collect();
+                let has = |bit: u32| mask >> bit & 1 == 1;
+                let data_plane = [Op::Matvec, Op::ForwardBatch, Op::MatvecPartial, Op::Infer];
+                let req = Request {
+                    deadline_ms: has(0).then_some(num),
+                    input: has(1).then(|| floats.clone()),
+                    inputs: has(2).then(|| rows(&floats, &lens)),
+                    row_offset: has(3).then_some(num / 3),
+                    rows: has(4).then_some(num / 5),
+                    model: has(5).then(|| text.to_string()),
+                    format: has(6).then(|| text.to_string()),
+                    layer_start: has(7).then_some(num / 7),
+                    layer_end: has(8).then_some(num / 11),
+                    backend_addr: has(9).then(|| text.to_string()),
+                    energy_budget_mj: has(10).then_some(real),
+                    allow_downshift: has(11).then_some(num.is_multiple_of(2)),
+                    ..Request::new(data_plane[tag % 4], id)
+                };
+                check(&req)?;
+
+                let status = Status::ALL[tag];
+                let resp = Response {
+                    code: if num.is_multiple_of(4) { num as u16 } else { status.code() },
+                    output: has(0).then(|| floats.clone()),
+                    outputs: has(1).then(|| rows(&floats, &lens)),
+                    partials: has(2).then(|| rows(&floats, &lens[lens.len() / 2..])),
+                    retry_after_ms: has(3).then_some(num),
+                    error: has(4).then(|| text.to_string()),
+                    energy_mj: has(5).then_some(real),
+                    format: has(6).then(|| text.to_string()),
+                    ..Response::new(id, status)
+                };
+                check(&resp)?;
+            }
+        }
     }
 }

@@ -73,7 +73,7 @@ use crate::event_server;
 use crate::health::{HealthMachine, HealthPolicy, HealthState};
 use crate::metrics::{ServeMetrics, ServeSnapshot};
 use crate::protocol::{
-    self, FrameError, HealthInfo, Op, Request, Response, Status, DEFAULT_MAX_FRAME,
+    self, Encoding, FrameError, HealthInfo, Op, Request, Response, Status, DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
 };
 
@@ -808,17 +808,15 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
 /// Parses and serves one frame. Returns `false` when the connection
 /// should close (write failure or served a `shutdown`).
 fn handle_frame<W: Write>(shared: &Shared, payload: &[u8], t0: Instant, writer: &mut W) -> bool {
+    // Answer in the encoding the request arrived in.
+    let enc = Encoding::of(payload);
     let req = match protocol::parse_message::<Request>(payload) {
         Ok(req) => req,
         Err(e) => {
-            // Bad JSON inside a good frame: answer 400, keep the
-            // connection — framing is still in sync.
-            shared
-                .metrics
-                .runtime()
-                .record_rejection(RejectReason::Malformed);
-            let resp = Response::error(0, Status::Malformed, e);
-            return protocol::write_message(writer, &resp).is_ok();
+            // Undecodable payload inside a good frame: answer 400, keep
+            // the connection — framing is still in sync.
+            let resp = reject_malformed(shared, 0, e);
+            return enc.write(writer, &resp).is_ok();
         }
     };
     let op = req.op;
@@ -828,7 +826,7 @@ fn handle_frame<W: Write>(shared: &Shared, payload: &[u8], t0: Instant, writer: 
         .metrics
         .record_request(op, resp.is_ok(), t0.elapsed());
     debug_assert_eq!(resp.id, id);
-    if protocol::write_message(writer, &resp).is_err() {
+    if enc.write(writer, &resp).is_err() {
         return false;
     }
     op != Op::Shutdown

@@ -1,8 +1,8 @@
-//! Protocol robustness fuzzing: arbitrary garbage, truncated frames
-//! and oversized length prefixes must never panic the server — every
-//! case ends in a structured `400 malformed` response or a clean
-//! disconnect, and the server keeps answering well-formed requests
-//! afterwards.
+//! Protocol robustness fuzzing: arbitrary garbage, truncated frames,
+//! oversized length prefixes, lying binary payloads and non-finite
+//! floats must never panic the server — every case ends in a structured
+//! response (`400 malformed` for bad frames) or a clean disconnect, and
+//! the server keeps answering well-formed requests afterwards.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use afpr_models::{ModelRegistry, RegistryConfig};
 use afpr_serve::{
-    read_frame, Client, ClientError, ServeModel, Server, ServerConfig, Status, MAX_DEADLINE_MS,
+    parse_message, read_frame, Client, ClientError, Encoding, Op, Request, Response, ServeModel,
+    Server, ServerConfig, Status, MAX_DEADLINE_MS,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -61,24 +62,82 @@ fn assert_server_alive(addr: SocketAddr) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Writes one hand-assembled JSON payload as a frame.
-fn send_raw_json(s: &mut TcpStream, json: &str) {
-    let len = u32::try_from(json.len()).expect("small payload");
+/// Writes one hand-assembled payload as a frame.
+fn send_raw(s: &mut TcpStream, payload: &[u8]) {
+    let len = u32::try_from(payload.len()).expect("small payload");
     s.write_all(&len.to_be_bytes()).expect("header");
-    s.write_all(json.as_bytes()).expect("payload");
+    s.write_all(payload).expect("payload");
     s.flush().expect("flush");
 }
 
-/// Reads and parses the next response frame.
-fn read_response(s: &mut TcpStream) -> Result<afpr_serve::Response, TestCaseError> {
+/// Writes one hand-assembled JSON payload as a frame.
+fn send_raw_json(s: &mut TcpStream, json: &str) {
+    send_raw(s, json.as_bytes());
+}
+
+/// Reads the next response frame's raw payload.
+fn read_raw(s: &mut TcpStream) -> Result<Vec<u8>, TestCaseError> {
     match read_frame(s, 1 << 20) {
-        Ok(Some(bytes)) => afpr_serve::parse_message(&bytes)
-            .map_err(|e| TestCaseError::fail(format!("unparseable reply: {e}"))),
+        Ok(Some(bytes)) => Ok(bytes),
         Ok(None) => Err(TestCaseError::fail(
             "server disconnected instead of answering",
         )),
         Err(e) => Err(TestCaseError::fail(format!("dirty disconnect: {e}"))),
     }
+}
+
+/// Reads and parses the next response frame.
+fn read_response(s: &mut TcpStream) -> Result<Response, TestCaseError> {
+    parse_message(&read_raw(s)?).map_err(|e| TestCaseError::fail(format!("unparseable reply: {e}")))
+}
+
+/// A valid binary `matvec` payload for the demo layer.
+fn binary_matvec(id: u64) -> Vec<u8> {
+    Encoding::Binary
+        .encode(&Request::matvec(id, ServeModel::demo_input(256, 3)))
+        .expect("data-plane requests encode as binary")
+}
+
+/// Sends a hostile binary payload; the answer must be a binary
+/// `400 malformed` with `id` 0, and the same connection must then
+/// serve a valid binary matvec.
+fn assert_binary_400_then_serves(addr: SocketAddr, payload: &[u8]) -> Result<(), TestCaseError> {
+    let mut s = raw_conn(addr);
+    send_raw(&mut s, payload);
+    let raw = read_raw(&mut s)?;
+    prop_assert_eq!(Encoding::of(&raw), Encoding::Binary, "400 answers in kind");
+    let resp: Response = parse_message(&raw).map_err(TestCaseError::fail)?;
+    prop_assert_eq!(resp.status, Status::Malformed, "{:?}", resp.error);
+    prop_assert_eq!(resp.code, 400);
+    prop_assert_eq!(resp.id, 0);
+    send_raw(&mut s, &binary_matvec(8));
+    let resp = read_response(&mut s)?;
+    prop_assert!(resp.is_ok(), "connection still serves: {:?}", resp.error);
+    prop_assert_eq!(resp.id, 8);
+    prop_assert_eq!(resp.output.map(|o| o.len()), Some(128));
+    assert_server_alive(addr)
+}
+
+/// Byte offset of the `u16` presence mask in a binary payload (after
+/// magic, kind, op, `id` and the `proto_version` at offset 11).
+const PRESENCE_AT: usize = 15;
+/// Byte offset of the first optional field (after the mask).
+const FIELDS_AT: usize = PRESENCE_AT + 2;
+
+fn patched(mut payload: Vec<u8>, at: usize, bytes: &[u8]) -> Vec<u8> {
+    payload[at..at + bytes.len()].copy_from_slice(bytes);
+    payload
+}
+
+/// Checks a served response's energy field: present, finite and
+/// non-negative.
+fn assert_sane_energy(resp: &Response) -> Result<(), TestCaseError> {
+    prop_assert!(
+        resp.energy_mj.is_some_and(|mj| mj.is_finite() && mj >= 0.0),
+        "served requests report sane energy: {:?}",
+        resp.energy_mj
+    );
+    Ok(())
 }
 
 proptest! {
@@ -113,6 +172,14 @@ proptest! {
             }
         }
         assert_server_alive(addr)?;
+    }
+
+    /// A binary frame cut anywhere before its end is a well-framed but
+    /// truncated payload: a binary `400` with `id` 0, and the same
+    /// connection keeps serving.
+    fn truncated_binary_payload_gets_binary_400(keep in 1usize..1041) {
+        let full = binary_matvec(7);
+        assert_binary_400_then_serves(fuzz_server_addr(), &full[..keep.min(full.len() - 1)])?;
     }
 
     /// A frame whose announced length exceeds what is actually sent
@@ -174,13 +241,22 @@ proptest! {
             "{{\"op\":\"health\",\"id\":1,\"proto_version\":{version}}}"
         );
         send_raw_json(&mut s, &json);
-        let resp = read_response(&mut s)?;
-        prop_assert_eq!(resp.status, Status::Malformed);
-        prop_assert_eq!(resp.code, 400);
-        prop_assert!(
-            resp.error.as_deref().unwrap_or_default().contains("protocol version"),
-            "error names the version mismatch: {:?}", resp.error
-        );
+        // The same gate holds for a binary frame carrying that version:
+        // it decodes, so its 400 echoes the request id.
+        let binary = patched(binary_matvec(2), 11, &version.to_le_bytes());
+        send_raw(&mut s, &binary);
+        for (enc, id) in [(Encoding::Json, 1), (Encoding::Binary, 2)] {
+            let raw = read_raw(&mut s)?;
+            prop_assert_eq!(Encoding::of(&raw), enc);
+            let resp: Response = parse_message(&raw).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(resp.status, Status::Malformed);
+            prop_assert_eq!(resp.code, 400);
+            prop_assert_eq!(resp.id, id);
+            prop_assert!(
+                resp.error.as_deref().unwrap_or_default().contains("protocol version"),
+                "error names the version mismatch: {:?}", resp.error
+            );
+        }
         assert_server_alive(addr)?;
     }
 
@@ -361,6 +437,113 @@ proptest! {
     }
 }
 
+/// Every named way a binary payload can lie — truncated arrays, counts
+/// that overrun the frame, trailing bytes, unknown op and kind bytes,
+/// control ops sent as binary, unknown field bits, invalid UTF-8 —
+/// gets a binary `400` with `id` 0 and leaves the connection serving.
+#[test]
+fn malformed_binary_frames_get_binary_400() {
+    let addr = fuzz_server_addr();
+    let matvec = binary_matvec(5);
+    let batch = Encoding::Binary
+        .encode(&Request::forward_batch(6, vec![vec![0.5; 256]; 2]))
+        .unwrap();
+    let infer = Encoding::Binary
+        .encode(&Request::infer(9, "tiny-mlp", "e2m5", vec![0.5; 8]))
+        .unwrap();
+    let model_at = infer
+        .windows(8)
+        .position(|w| w == b"tiny-mlp")
+        .expect("model bytes present");
+    let mut trailing = matvec.clone();
+    trailing.extend_from_slice(&[0, 0, 0, 0]);
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("magic byte alone", vec![0]),
+        ("header cut short", matvec[..10].to_vec()),
+        ("array cut mid-float", matvec[..matvec.len() - 3].to_vec()),
+        (
+            "count overruns frame",
+            patched(matvec.clone(), FIELDS_AT, &257u32.to_le_bytes()),
+        ),
+        (
+            "count u32::MAX",
+            patched(matvec.clone(), FIELDS_AT, &u32::MAX.to_le_bytes()),
+        ),
+        (
+            "nested count u32::MAX",
+            patched(batch.clone(), FIELDS_AT, &u32::MAX.to_le_bytes()),
+        ),
+        ("trailing bytes", trailing),
+        ("unknown op byte", patched(matvec.clone(), 2, &[77])),
+        ("response kind", patched(matvec.clone(), 1, &[1])),
+        ("unknown kind", patched(matvec.clone(), 1, &[9])),
+        (
+            "health as binary",
+            patched(matvec.clone(), 2, &[Op::Health.index() as u8]),
+        ),
+        (
+            "metrics as binary",
+            patched(matvec.clone(), 2, &[Op::Metrics.index() as u8]),
+        ),
+        (
+            "shutdown as binary",
+            patched(matvec.clone(), 2, &[Op::Shutdown.index() as u8]),
+        ),
+        (
+            "register as binary",
+            patched(matvec.clone(), 2, &[Op::Register.index() as u8]),
+        ),
+        (
+            "unknown field bits",
+            patched(matvec.clone(), PRESENCE_AT, &[0x02, 0x80]),
+        ),
+        (
+            "invalid UTF-8 model",
+            patched(infer, model_at, &[0xc3, 0x28]),
+        ),
+    ];
+    for (what, payload) in cases {
+        assert_binary_400_then_serves(addr, &payload).unwrap_or_else(|e| panic!("{what}: {e}"));
+    }
+}
+
+/// NaN and ±Inf travel as raw bits in binary frames, so they reach
+/// every data-plane op. Each gets an answer or a structured 4xx —
+/// never a panic — and served answers carry finite, non-negative
+/// energy. The server keeps serving.
+#[test]
+fn non_finite_payloads_on_every_data_plane_op_never_panic() {
+    let addr = fuzz_server_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let id = 1000;
+    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut mixed = ServeModel::demo_input(256, 1);
+        mixed[17] = v;
+        let mut reqs = vec![
+            Request::matvec(id, vec![v; 256]),
+            Request::matvec(id, mixed.clone()),
+            Request::forward_batch(id, vec![mixed.clone(), vec![v; 256]]),
+            Request::matvec_partial(id, 64, vec![v; 64]),
+            Request::matvec_partial(id, 0, mixed),
+        ];
+        for format in ["e2m5", "e3m4", "int8"] {
+            reqs.push(Request::infer(id, "tiny-mlp", format, vec![v; 8]));
+        }
+        for req in reqs {
+            let what = format!("{} {format:?} of {v}", req.op, format = req.format);
+            let resp = client
+                .call(&req)
+                .unwrap_or_else(|e| panic!("{what}: transport failure {e}"));
+            if resp.is_ok() {
+                assert_sane_energy(&resp).unwrap_or_else(|e| panic!("{what}: {e}"));
+            } else {
+                assert!((400..500).contains(&resp.code), "{what}: {resp:?}");
+            }
+        }
+    }
+    assert_server_alive(addr).expect("server alive after non-finite payloads");
+}
+
 /// Unknown model names are `404 not_found` — distinct from `400` so
 /// routers and retry layers can tell "will never succeed here" from
 /// "bad request shape" — and the connection keeps serving.
@@ -393,31 +576,43 @@ fn unknown_model_gets_404_and_connection_survives() {
     assert_eq!(out.len(), 4);
 }
 
-/// Extreme inputs (`f32::MAX`, denormals, huge negatives) never panic
-/// the server. Values whose activations stay finite come back as a
-/// normal answer; ones that overflow to ±inf serialize as JSON `null`
-/// (JSON has no non-finite numbers), which the client reports as a
-/// protocol error — degenerate, but the server must keep serving.
+/// Extreme inputs (`f32::MAX`, denormals, huge negatives, NaN, ±Inf)
+/// never panic the server in any format — INT8 calibration used to
+/// panic the execution thread on an infinite absmax. Activations that
+/// overflow come back as ±Inf: binary answers carry the raw bits that
+/// JSON printed as `null`. Every answer is a normal one, and the
+/// server keeps serving.
 #[test]
 fn extreme_infer_values_never_panic() {
     let addr = fuzz_server_addr();
     let mut client = Client::connect(addr).expect("connect");
-    for hostile in [f32::MAX, f32::MIN, f32::MIN_POSITIVE, -0.0, 1e-38, 1e38] {
-        match client.infer("tiny-mlp", "e3m4", vec![hostile; 8]) {
-            Ok(out) => assert_eq!(out.len(), 4),
-            Err(ClientError::Protocol(_)) => {
-                // Overflowed activations: frame was well-formed, the
-                // floats inside degenerated to null. Connection stays
-                // aligned (the frame was fully read), so keep going.
-            }
-            Err(other) => panic!("input {hostile:e} broke the server: {other}"),
+    let hostile = [
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        -0.0,
+        1e-38,
+        3e37,
+        1e38,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    for format in ["e2m5", "e3m4", "int8"] {
+        for x in hostile {
+            let resp = client
+                .call(&Request::infer(1, "tiny-mlp", format, vec![x; 8]))
+                .unwrap_or_else(|e| panic!("{format} input {x:e} broke the server: {e}"));
+            assert!(resp.is_ok(), "{format} input {x:e}: {:?}", resp.error);
+            assert_eq!(resp.output.as_ref().map(Vec::len), Some(4));
+            assert_sane_energy(&resp).unwrap_or_else(|e| panic!("{format} input {x:e}: {e}"));
         }
+        // The server is still healthy and still infers.
+        let out = client
+            .infer("tiny-mlp", format, vec![0.5; 8])
+            .expect("server keeps serving after extreme inputs");
+        assert_eq!(out.len(), 4);
     }
-    // The server is still healthy and still infers.
-    let out = client
-        .infer("tiny-mlp", "e3m4", vec![0.5; 8])
-        .expect("server keeps serving after extreme inputs");
-    assert_eq!(out.len(), 4);
 }
 
 /// Old-frame compatibility pin: hand-written version-1 frames that
@@ -451,7 +646,9 @@ fn old_frames_without_proto_version_still_serve() {
         input.join(",")
     );
     send_raw_json(&mut s, &json);
-    let resp = read_response(&mut s).expect("matvec answered");
+    let raw = read_raw(&mut s).expect("matvec answered");
+    assert_eq!(raw[0], b'{', "a JSON request gets a JSON answer");
+    let resp: Response = parse_message(&raw).expect("well-formed answer");
     assert_eq!(
         resp.status,
         Status::Ok,

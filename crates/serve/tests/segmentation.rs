@@ -2,8 +2,9 @@
 //! across both transports.
 //!
 //! Each case builds one inbound byte stream — a mix of valid compute
-//! requests, malformed-JSON frames, non-UTF-8 frames, and optionally a
-//! hostile tail (truncated frame or oversized length announcement) —
+//! requests in JSON or binary, malformed JSON or truncated binary
+//! payloads, non-UTF-8 frames, and optionally a hostile tail (truncated
+//! frame or oversized length announcement) —
 //! then delivers it to a blocking-transport server and a
 //! reactor-transport server, split at proptest-chosen byte boundaries
 //! across many writes. The two servers are seeded identically and see
@@ -23,8 +24,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use afpr_serve::{
-    parse_message, read_frame, FrameError, Request, Response, ServeModel, Server, ServerConfig,
-    Transport,
+    parse_message, read_frame, Encoding, FrameError, Request, Response, ServeModel, Server,
+    ServerConfig, Transport,
 };
 use proptest::prelude::*;
 
@@ -70,8 +71,8 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     wire
 }
 
-fn encode(req: &Request) -> Vec<u8> {
-    frame(serde_json::to_string(req).unwrap().as_bytes())
+fn encode(req: &Request, enc: Encoding) -> Vec<u8> {
+    frame(&enc.encode(req).unwrap())
 }
 
 /// splitmix64 step — stretches one proptest-drawn seed into the
@@ -85,8 +86,9 @@ fn mix(state: &mut u64) -> u64 {
 }
 
 /// Derives one message from a raw 64-bit seed: mostly valid compute
-/// requests, with malformed-JSON and non-UTF-8 frames mixed in.
-fn message_from_seed(seed: u64) -> Message {
+/// requests in `enc`, with undecodable payloads and non-UTF-8 frames
+/// mixed in.
+fn message_from_seed(seed: u64, enc: Encoding) -> Message {
     let mut s = seed;
     let kind = mix(&mut s) % 10;
     let id = mix(&mut s);
@@ -95,7 +97,7 @@ fn message_from_seed(seed: u64) -> Message {
             let x0 = ((mix(&mut s) % 2048) as f32 - 1024.0) / 1024.0;
             let input: Vec<f32> = (0..K).map(|j| x0 + (j as f32) * 0.01).collect();
             Message {
-                wire: encode(&Request::matvec(id, input)),
+                wire: encode(&Request::matvec(id, input), enc),
                 responses: 1,
                 closes: false,
             }
@@ -106,7 +108,10 @@ fn message_from_seed(seed: u64) -> Message {
                 .map(|j| ((j + tile) as f32) * 0.05 - 1.0)
                 .collect();
             Message {
-                wire: encode(&Request::matvec_partial(id, (tile * UNIT) as u64, input)),
+                wire: encode(
+                    &Request::matvec_partial(id, (tile * UNIT) as u64, input),
+                    enc,
+                ),
                 responses: 1,
                 closes: false,
             }
@@ -122,17 +127,25 @@ fn message_from_seed(seed: u64) -> Message {
                 })
                 .collect();
             Message {
-                wire: encode(&Request::forward_batch(id, inputs)),
+                wire: encode(&Request::forward_batch(id, inputs), enc),
                 responses: 1,
                 closes: false,
             }
         }
         8 => {
             // Valid frame, hostile payload: both transports answer 400
-            // and keep the connection (framing is still in sync).
-            let payload = format!("{{\"op\":\"matvec\",\"id\":{}", id % 100);
+            // (in the payload's encoding) and keep the connection
+            // (framing is still in sync).
+            let payload = match enc {
+                Encoding::Json => format!("{{\"op\":\"matvec\",\"id\":{}", id % 100).into_bytes(),
+                Encoding::Binary => {
+                    let mut p = enc.encode(&Request::matvec(id, vec![0.5; K])).unwrap();
+                    p.truncate(17 + (mix(&mut s) as usize) % (4 * K));
+                    p
+                }
+            };
             Message {
-                wire: frame(payload.as_bytes()),
+                wire: frame(&payload),
                 responses: 1,
                 closes: false,
             }
@@ -225,15 +238,16 @@ fn exchange(
 /// attribution for micro-batched runs is split across whichever jobs
 /// the batcher happened to coalesce — outputs are invariant to that
 /// partition, the energy split is not. Everything else must still
-/// match bit for bit, so responses are re-encoded with the field
-/// nulled rather than compared as raw bytes.
-fn strip_energy(payloads: &[Vec<u8>]) -> Vec<String> {
+/// match bit for bit, so responses are re-encoded, in the encoding
+/// they arrived in, with the field nulled rather than compared as raw
+/// bytes.
+fn strip_energy(payloads: &[Vec<u8>]) -> Vec<Vec<u8>> {
     payloads
         .iter()
         .map(|p| {
             let mut resp: Response = parse_message(p).expect("server answers are well-formed");
             resp.energy_mj = None;
-            serde_json::to_string(&resp).expect("response re-encodes")
+            Encoding::of(p).encode(&resp).expect("response re-encodes")
         })
         .collect()
 }
@@ -262,14 +276,19 @@ proptest! {
     /// — yield byte-identical response streams from both transports.
     fn segmented_streams_get_byte_identical_responses(
         seeds in prop::collection::vec(0u64..u64::MAX, 1..=4),
+        binary in prop::collection::vec(prop::sample::select(vec![false, true]), 4),
         tail_seed in 0u64..u64::MAX,
         splits in prop::collection::vec(0u64..u64::MAX, 0..12),
     ) {
         let mut bytes = Vec::new();
         let mut expected = 0usize;
-        for msg in seeds.iter().map(|&s| message_from_seed(s)) {
+        let mut encodings = Vec::new();
+        for (&seed, &bin) in seeds.iter().zip(&binary) {
+            let enc = if bin { Encoding::Binary } else { Encoding::Json };
+            let msg = message_from_seed(seed, enc);
             bytes.extend_from_slice(&msg.wire);
             expected += msg.responses;
+            encodings.push(Encoding::of(&msg.wire[4..]));
         }
         let mut expect_close = false;
         if let Some(t) = tail_from_seed(tail_seed) {
@@ -287,5 +306,10 @@ proptest! {
         let from_reactor =
             exchange(reactor_server().local_addr(), &chunks, expected, expect_close);
         prop_assert_eq!(strip_energy(&from_blocking), strip_energy(&from_reactor));
+        // Every generated message is answered in its payload's
+        // encoding (the non-UTF-8 frames are JSON by their first byte).
+        for (resp, enc) in from_blocking.iter().zip(&encodings) {
+            prop_assert_eq!(Encoding::of(resp), *enc);
+        }
     }
 }

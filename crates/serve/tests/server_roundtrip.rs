@@ -11,6 +11,9 @@ use afpr_models::{
 };
 use afpr_serve::{Client, ClientError, Op, Request, ServeModel, Server, ServerConfig, Status};
 
+#[path = "common/json_frames.rs"]
+mod json_frames;
+
 /// Server responses are bit-identical to driving the accelerator
 /// directly with the same seed and the same sample order — the wire
 /// protocol, micro-batching and engine parallelism are all invisible
@@ -53,6 +56,28 @@ fn matvec_and_forward_batch_bit_identical_to_direct_accelerator() {
     assert_eq!(snapshot.runtime.requests_accepted, 7); // 6 matvec + 1 batch
     assert_eq!(snapshot.runtime.rejections.total(), 0);
     assert_eq!(snapshot.protocol_errors, 0);
+}
+
+/// Hand-written JSON clients are served unchanged, straight to a
+/// backend: JSON in, JSON out, the same bits as binary frames.
+#[test]
+fn json_text_frames_match_binary_answers_bit_for_bit() {
+    const SEED: u64 = 61;
+    let twin = || {
+        let registry = Arc::new(ModelRegistry::new(RegistryConfig::new(2, SEED)));
+        Server::start(
+            ServerConfig::default(),
+            ServeModel::demo(SEED).with_registry(registry),
+        )
+        .expect("starts")
+    };
+    let (json, binary) = (twin(), twin());
+    json_frames::assert_match_binary(json.local_addr(), binary.local_addr());
+    for server in [json, binary] {
+        let snapshot = server.shutdown();
+        assert_eq!(snapshot.protocol_errors, 0);
+        assert_eq!(snapshot.runtime.rejections.total(), 0);
+    }
 }
 
 /// Although the batcher never waits for a partner, requests that queue

@@ -122,10 +122,13 @@ pub struct IntActQuantizer {
 impl IntActQuantizer {
     /// Calibrates a symmetric INT8 quantizer over the samples.
     ///
-    /// Falls back to unit scale for an all-zero calibration set.
+    /// Falls back to unit scale for an all-zero calibration set. An
+    /// infinite absmax (an input or activation that overflowed)
+    /// saturates to `f32::MAX`, so hostile samples clip instead of
+    /// panicking; NaN samples are ignored.
     #[must_use]
     pub fn calibrate(samples: &[f32]) -> Self {
-        let absmax = afpr_num::stats::abs_max(samples).max(f32::MIN_POSITIVE);
+        let absmax = afpr_num::stats::abs_max(samples).clamp(f32::MIN_POSITIVE, f32::MAX);
         Self {
             inner: Int8Quantizer::symmetric_for_absmax(absmax).expect("absmax positive"),
         }
@@ -222,5 +225,16 @@ mod tests {
         let q = FpActQuantizer::calibrate(&[0.0; 4], FpFormat::E2M5);
         assert_eq!(q.quantize(0.0), SignedActivation::ZERO);
         let _ = IntActQuantizer::calibrate(&[0.0; 4]);
+    }
+
+    #[test]
+    fn int_calibration_saturates_non_finite_samples() {
+        let q = IntActQuantizer::calibrate(&[f32::INFINITY, 1.0, f32::NAN]);
+        assert_eq!(q, IntActQuantizer::calibrate(&[f32::MAX]));
+        assert_eq!(q.quantize(f32::INFINITY), (false, 127));
+        assert_eq!(q.quantize(f32::NEG_INFINITY).1, 127);
+        // Finite absmax: the scale is exactly what it always was.
+        let q = IntActQuantizer::calibrate(&[3.0e37, -2.0]);
+        assert_eq!(q.inner().scale(), 3.0e37 / 127.0);
     }
 }
