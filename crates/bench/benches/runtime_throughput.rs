@@ -41,7 +41,7 @@ fn bench_runtime(c: &mut Criterion) {
         let engine = Engine::with_threads(threads);
         let (mut accel, handle, x) = tiled_accel(7);
         group.bench_function(format!("matvec_par_16tiles_t{threads}"), |b| {
-            b.iter(|| accel.matvec_parallel(handle, black_box(&x), &engine))
+            b.iter(|| accel.forward_batch(handle, black_box(std::slice::from_ref(&x)), &engine))
         });
     }
 

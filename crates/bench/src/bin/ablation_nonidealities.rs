@@ -31,7 +31,7 @@ fn rms_error(mac: &mut CimMacro) -> f64 {
     let x = inputs();
     let q = FpActQuantizer::calibrate(&x, FpFormat::E2M5);
     mac.calibrate_range(&[q.quantize_slice(&x)]);
-    let y = mac.matvec_with_fp(&x, &q);
+    let y = mac.matvec(&x);
     let mut sum = 0.0f64;
     let mut scale = 0.0f64;
     for c in 0..COLS {

@@ -1,7 +1,7 @@
 //! The AFPR-CIM accelerator: a pool of CIM macros plus the inter-core
 //! routing adder, executing tiled matrix-vector products.
 
-use crate::mapping::{tile_matrix, TiledMatrix};
+use crate::mapping::{tile_matrix, Tile, TiledMatrix};
 use afpr_circuit::units::Joules;
 use afpr_nn::tensor::Tensor;
 use afpr_num::FpFormat;
@@ -11,6 +11,8 @@ use afpr_xbar::metrics::MacroStats;
 use afpr_xbar::quant::FpActQuantizer;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
 use afpr_xbar::PartialSumAdder;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Opaque handle to a mapped layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,30 +139,16 @@ impl AfprAccelerator {
         }
     }
 
-    /// Executes a tiled matrix-vector product: every tile's macro runs
-    /// its slice; row-tile partials are combined by the inter-core
-    /// routing adder.
+    /// Executes a tiled matrix-vector product: a batch of one through
+    /// [`matvec_batch`](Self::matvec_batch).
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale or `x.len() != K`.
     pub fn matvec(&mut self, handle: LayerHandle, x: &[f32]) -> Vec<f32> {
-        let layer = &mut self.layers[handle.0];
-        assert_eq!(x.len(), layer.tiled.k, "input length must equal K");
-        let mut out = vec![0.0f32; layer.tiled.n];
-        for ct in 0..layer.tiled.col_tiles {
-            let mut partials: Vec<Vec<f32>> = Vec::with_capacity(layer.tiled.row_tiles);
-            for rt in 0..layer.tiled.row_tiles {
-                let idx = rt * layer.tiled.col_tiles + ct;
-                let tile = &layer.tiled.tiles[idx];
-                let slice = &x[tile.row_start..tile.row_end];
-                partials.push(layer.macros[idx].matvec(slice));
-            }
-            let summed = self.adder.sum(&partials);
-            let col_start = layer.tiled.tiles[ct].col_start;
-            out[col_start..col_start + summed.len()].copy_from_slice(&summed);
-        }
-        out
+        self.matvec_batch(handle, &[x.to_vec()])
+            .pop()
+            .expect("a batch of one gives one output")
     }
 
     /// Height of a full row tile of a mapped layer, i.e. the input-row
@@ -200,16 +188,11 @@ impl AfprAccelerator {
     /// splits the input dimension into contiguous tile-aligned ranges,
     /// each backend computes its tiles' partials with this method, and
     /// the router concatenates the per-tile partials in shard order and
-    /// reduces them with [`PartialSumAdder::sum_into`] — reproducing
-    /// the exact left-fold accumulation order of
-    /// [`matvec`](Self::matvec), so the distributed result is
-    /// **bit-identical** to the single-node one.
-    ///
-    /// Column tiles are assembled into each partial (disjoint column
-    /// segments, no additions), so the reduction's per-column addition
-    /// sequence is exactly the `rt`-ordered sequence `matvec` feeds its
-    /// own adder. No partial-sum additions happen here; the reducer
-    /// owns that energy.
+    /// reduces them with [`PartialSumAdder::sum_into`] — the same
+    /// left fold over row tiles that [`matvec`](Self::matvec) runs, so
+    /// the distributed result is **bit-identical** to the single-node
+    /// one. No partial-sum additions happen here; the reducer owns that
+    /// energy.
     ///
     /// Each covered macro advances its RNG stream exactly once, the
     /// same as one `matvec` call does — which is why a shard that only
@@ -228,99 +211,46 @@ impl AfprAccelerator {
         row_offset: usize,
         x: &[f32],
     ) -> Vec<Vec<f32>> {
-        let layer = &mut self.layers[handle.0];
-        let unit = layer.tiled.tiles[0].rows().max(1);
+        let tiled = &self.layers[handle.0].tiled;
+        let unit = tiled.tiles[0].rows().max(1);
         let end = row_offset + x.len();
         assert!(!x.is_empty(), "partial input must be non-empty");
         assert!(
-            row_offset.is_multiple_of(unit) && row_offset < layer.tiled.k,
+            row_offset.is_multiple_of(unit) && row_offset < tiled.k,
             "row_offset {row_offset} is not a row-tile boundary"
         );
         assert!(
-            end == layer.tiled.k || (end.is_multiple_of(unit) && end < layer.tiled.k),
+            end == tiled.k || (end.is_multiple_of(unit) && end < tiled.k),
             "row range end {end} is not a row-tile boundary"
         );
-        let rt_start = row_offset / unit;
-        let rt_end = end.div_ceil(unit);
-        let mut partials = Vec::with_capacity(rt_end - rt_start);
-        for rt in rt_start..rt_end {
-            let mut partial = vec![0.0f32; layer.tiled.n];
-            for ct in 0..layer.tiled.col_tiles {
-                let idx = rt * layer.tiled.col_tiles + ct;
-                let tile = &layer.tiled.tiles[idx];
-                let slice = &x[tile.row_start - row_offset..tile.row_end - row_offset];
-                let y = layer.macros[idx].matvec(slice);
-                partial[tile.col_start..tile.col_start + y.len()].copy_from_slice(&y);
-            }
-            partials.push(partial);
-        }
-        partials
-    }
-
-    /// Parallel tiled matrix-vector product on a runtime [`Engine`].
-    /// This is batch-of-one [`forward_batch`](Self::forward_batch):
-    /// the batched GEMM path with `B == 1` degenerates to exactly one
-    /// blocked conductance pass per tile, so single-vector and batched
-    /// serving share one dispatch shape (and one set of invariants).
-    ///
-    /// **Determinism:** bit-identical to `matvec` for any worker or
-    /// chunk count — each macro owns its RNG and runs exactly once per
-    /// call, and the float reduction order is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale or `x.len() != K`.
-    pub fn matvec_parallel(&mut self, handle: LayerHandle, x: &[f32], engine: &Engine) -> Vec<f32> {
-        let xs = [x.to_vec()];
-        self.forward_batch(handle, &xs, engine)
+        let row_tiles = row_offset / unit..end.div_ceil(unit);
+        self.run_tiles(handle, row_tiles, &[x.to_vec()], None)
             .pop()
-            .expect("batch of one yields one output")
+            .expect("a batch of one gives one output")
     }
 
-    /// Engine-free batched GEMM over one layer: every tile's macro
-    /// runs the **whole batch** through [`CimMacro::matvec_batch`] —
-    /// one blocked conductance pass per differential array per sign
-    /// phase group, amortized over all `B` samples — and row-tile
-    /// partials are reduced per sample in the same `ct`-outer /
-    /// `rt`-inner order as [`matvec`](Self::matvec).
+    /// Batched tiled matrix-vector products, engine-free: every tile's
+    /// macro runs the whole batch through [`CimMacro::matvec_batch`],
+    /// and each sample's row-tile partials are reduced by the
+    /// inter-core routing adder.
     ///
-    /// Bit-identical to calling `matvec` once per sample, in order:
-    /// each macro consumes its RNG stream in sample order, and the
-    /// adder sees the same per-column addition sequence.
+    /// Bit-identical to calling [`matvec`](Self::matvec) once per
+    /// sample, in order: each macro consumes its RNG stream in sample
+    /// order, and the adder sees the same per-column addition sequence.
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale or any `xs[i].len() != K`.
     pub fn matvec_batch(&mut self, handle: LayerHandle, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let layer = &mut self.layers[handle.0];
-        for x in xs {
-            assert_eq!(x.len(), layer.tiled.k, "input length must equal K");
-        }
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        // per_tile[idx][sample] — tile-major, like the macro layout.
-        let mut per_tile: Vec<Vec<Vec<f32>>> = Vec::with_capacity(layer.macros.len());
-        for (mac, tile) in layer.macros.iter_mut().zip(&layer.tiled.tiles) {
-            let inputs: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| x[tile.row_start..tile.row_end].to_vec())
-                .collect();
-            per_tile.push(mac.matvec_batch(&inputs));
-        }
-        reduce_tile_batch(&mut self.adder, &layer.tiled, per_tile, xs.len())
+        self.reduce(handle, xs, None)
     }
 
-    /// Runs a micro-batch of inputs through one layer with tile-level
-    /// parallelism: tiles are grouped into column-block × batch slab
-    /// jobs (~2 per worker via [`Engine::execute_chunked`]), and each
-    /// job runs its tiles' macros through the batched GEMM kernel
-    /// ([`CimMacro::matvec_batch`]) — one blocked conductance pass per
-    /// array per sign phase, amortized over the whole batch. With one
-    /// worker (or a single tile) the dispatch drops away entirely and
-    /// the engine-free [`matvec_batch`](Self::matvec_batch) runs
-    /// inline — still batched, so single-threaded hosts keep the GEMM
-    /// amortization.
+    /// [`matvec_batch`](Self::matvec_batch) with tile-level parallelism:
+    /// tiles run as jobs on `engine`'s worker pool (~2 per worker via
+    /// [`Engine::execute_chunked`]), each job carrying its tiles' macros
+    /// and the whole batch. With one worker or a single tile the tiles
+    /// run inline. Records the executed tiles and MACs in the engine's
+    /// metrics.
     ///
     /// **Determinism:** bit-identical to calling
     /// [`matvec`](Self::matvec) once per sample in order, for any
@@ -336,52 +266,107 @@ impl AfprAccelerator {
         xs: &[Vec<f32>],
         engine: &Engine,
     ) -> Vec<Vec<f32>> {
-        let (tiles, k, n) = {
-            let layer = &self.layers[handle.0];
-            (layer.macros.len(), layer.tiled.k, layer.tiled.n)
-        };
+        let out = self.reduce(handle, xs, Some(engine));
+        let layer = &self.layers[handle.0];
+        let b = xs.len();
+        engine.metrics().record_tiles(
+            (layer.macros.len() * b) as u64,
+            (layer.tiled.k * layer.tiled.n * b) as u64,
+        );
+        out
+    }
+
+    /// The one reduction: runs every row tile of a layer over the batch
+    /// and folds each sample's row-tile partials, in row-tile order,
+    /// through [`PartialSumAdder::sum_into`].
+    fn reduce(
+        &mut self,
+        handle: LayerHandle,
+        xs: &[Vec<f32>],
+        engine: Option<&Engine>,
+    ) -> Vec<Vec<f32>> {
+        let tiled = &self.layers[handle.0].tiled;
+        let (k, row_tiles) = (tiled.k, tiled.row_tiles);
         for x in xs {
             assert_eq!(x.len(), k, "input length must equal K");
         }
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        engine
-            .metrics()
-            .record_tiles((tiles * xs.len()) as u64, (k * n * xs.len()) as u64);
-        if tiles <= 1 || engine.threads() == 1 {
-            return self.matvec_batch(handle, xs);
-        }
+        self.run_tiles(handle, 0..row_tiles, xs, engine)
+            .into_iter()
+            .map(|partials| {
+                let parts: Vec<&[f32]> = partials.iter().map(Vec::as_slice).collect();
+                let mut out = Vec::new();
+                self.adder.sum_into(&parts, &mut out);
+                out
+            })
+            .collect()
+    }
 
+    /// The one tile executor: runs the macros of row tiles `row_tiles`
+    /// over a batch whose samples start at the first of those tiles'
+    /// input rows. Every macro takes the whole batch through
+    /// [`CimMacro::matvec_batch`]; with an engine of more than one
+    /// worker and more than one tile, tiles run as pool jobs. Returns,
+    /// per sample, one full-width partial per row tile: its column
+    /// tiles' outputs concatenated, so no additions happen here.
+    fn run_tiles(
+        &mut self,
+        handle: LayerHandle,
+        row_tiles: Range<usize>,
+        xs: &[Vec<f32>],
+        engine: Option<&Engine>,
+    ) -> Vec<Vec<Vec<f32>>> {
         let layer = &mut self.layers[handle.0];
-        let macros = std::mem::take(&mut layer.macros);
-        let jobs: Vec<(CimMacro, Vec<Vec<f32>>)> = macros
-            .into_iter()
-            .zip(&layer.tiled.tiles)
-            .map(|(mac, tile)| {
-                let inputs: Vec<Vec<f32>> = xs
-                    .iter()
-                    .map(|x| x[tile.row_start..tile.row_end].to_vec())
+        let tiled = &layer.tiled;
+        let tiles = row_tiles.start * tiled.col_tiles..row_tiles.end * tiled.col_tiles;
+        let offset = tiled.tiles[tiles.start].row_start;
+        // Under one row tile, every tile takes the batch as it is.
+        let inputs = |tile: &Tile| -> Cow<'_, [Vec<f32>]> {
+            if row_tiles.len() == 1 {
+                return Cow::Borrowed(xs);
+            }
+            xs.iter()
+                .map(|x| x[tile.row_start - offset..tile.row_end - offset].to_vec())
+                .collect()
+        };
+        let outs: Vec<Vec<Vec<f32>>> = match engine {
+            Some(engine) if tiles.len() > 1 && engine.threads() > 1 => {
+                // Macros move into the jobs and back, in tile order.
+                let jobs: Vec<(CimMacro, Vec<Vec<f32>>)> = layer
+                    .macros
+                    .drain(tiles.clone())
+                    .zip(&tiled.tiles[tiles.clone()])
+                    .map(|(mac, tile)| (mac, inputs(tile).into_owned()))
                     .collect();
-                (mac, inputs)
-            })
-            .collect();
-        let results =
-            engine.execute_chunked(jobs, |(mut mac, inputs): (CimMacro, Vec<Vec<f32>>)| {
-                let outs = mac.matvec_batch(&inputs);
-                (mac, outs)
-            });
-
-        // per_tile[idx][sample] — tile-major, like the macro layout.
-        let mut per_tile: Vec<Vec<Vec<f32>>> = Vec::with_capacity(results.len());
-        layer.macros = results
-            .into_iter()
-            .map(|(mac, outs)| {
-                per_tile.push(outs);
-                mac
-            })
-            .collect();
-        reduce_tile_batch(&mut self.adder, &layer.tiled, per_tile, xs.len())
+                let done = engine.execute_chunked(jobs, |(mut mac, inputs)| {
+                    let ys = mac.matvec_batch(&inputs);
+                    (mac, ys)
+                });
+                let (macros, outs): (Vec<CimMacro>, Vec<_>) = done.into_iter().unzip();
+                layer.macros.splice(tiles.start..tiles.start, macros);
+                outs
+            }
+            _ => layer.macros[tiles.clone()]
+                .iter_mut()
+                .zip(&tiled.tiles[tiles.clone()])
+                .map(|(mac, tile)| mac.matvec_batch(&inputs(tile)))
+                .collect(),
+        };
+        // Tiles come in (row tile, column tile) order, and column tiles
+        // cover the columns left to right.
+        let mut partials: Vec<Vec<Vec<f32>>> = vec![Vec::new(); xs.len()];
+        for (i, ys) in outs.into_iter().enumerate() {
+            for (sample, y) in partials.iter_mut().zip(ys) {
+                if i % tiled.col_tiles == 0 {
+                    sample.push(y);
+                } else {
+                    sample
+                        .last_mut()
+                        .expect("column tile 0 comes first")
+                        .extend(y);
+                }
+            }
+        }
+        partials
     }
 
     /// Aggregated statistics over every macro.
@@ -520,36 +505,6 @@ impl AfprAccelerator {
 
 fn quantizer_for(slice: &[f32], format: FpFormat) -> FpActQuantizer {
     FpActQuantizer::calibrate(slice, format)
-}
-
-/// Reduces tile-major batched partials (`per_tile[idx][sample]`) into
-/// per-sample outputs, replaying the exact `(sample, ct)`-ordered adder
-/// call sequence of a sequential per-sample [`AfprAccelerator::matvec`]
-/// loop — the reduction order is part of the bit-identity contract.
-fn reduce_tile_batch(
-    adder: &mut PartialSumAdder,
-    tiled: &TiledMatrix,
-    mut per_tile: Vec<Vec<Vec<f32>>>,
-    batch: usize,
-) -> Vec<Vec<f32>> {
-    let (row_tiles, col_tiles, n) = (tiled.row_tiles, tiled.col_tiles, tiled.n);
-    let mut batch_out = Vec::with_capacity(batch);
-    // `s` indexes the *inner* (sample) axis of the tile-major
-    // `per_tile`, so clippy's iterate-over-`per_tile` hint is wrong.
-    #[allow(clippy::needless_range_loop)]
-    for s in 0..batch {
-        let mut out = vec![0.0f32; n];
-        for ct in 0..col_tiles {
-            let partials: Vec<Vec<f32>> = (0..row_tiles)
-                .map(|rt| std::mem::take(&mut per_tile[rt * col_tiles + ct][s]))
-                .collect();
-            let summed = adder.sum(&partials);
-            let col_start = tiled.tiles[ct].col_start;
-            out[col_start..col_start + summed.len()].copy_from_slice(&summed);
-        }
-        batch_out.push(out);
-    }
-    batch_out
 }
 
 #[cfg(test)]

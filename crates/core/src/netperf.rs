@@ -9,11 +9,11 @@
 //! rolls those rules up into a per-layer and per-network report.
 
 use crate::mapping::tile_matrix;
+use crate::sim::{reference, Plan, Step};
 use afpr_circuit::energy::AdcSpec;
 use afpr_circuit::units::{Joules, Seconds};
 use afpr_circuit::EnergyModel;
-use afpr_nn::layers::{Conv2d, Layer, Linear};
-use afpr_nn::model::{ResidualBlock, Sequential};
+use afpr_nn::model::Sequential;
 use afpr_nn::tensor::Tensor;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
 use serde::{Deserialize, Serialize};
@@ -112,20 +112,18 @@ pub fn network_perf(
     let t_conv = mode.conversion_time();
 
     let mut layers = Vec::new();
-    let mut x = Tensor::zeros(input_shape);
-    walk(model, &mut x, &mut |layer, input| {
-        let any = layer.as_any();
-        let (kind, k, n, positions) = if let Some(conv) = any.downcast_ref::<Conv2d>() {
-            let m = conv.as_matrix();
-            let oh = conv.out_size(input.shape()[1]);
-            let ow = conv.out_size(input.shape()[2]);
-            ("conv2d", m.shape()[0], m.shape()[1], (oh * ow) as u64)
-        } else if let Some(lin) = any.downcast_ref::<Linear>() {
-            let m = lin.as_matrix();
-            ("linear", m.shape()[0], m.shape()[1], 1)
-        } else {
-            return;
+    let x = Tensor::zeros(input_shape);
+    Plan::new(model).run(0, model.len(), &x, &mut |step, input| {
+        let (kind, m, positions) = match *step {
+            Step::Conv { conv, .. } => {
+                let oh = conv.out_size(input.shape()[1]);
+                let ow = conv.out_size(input.shape()[2]);
+                ("conv2d", conv.as_matrix(), (oh * ow) as u64)
+            }
+            Step::Linear { lin, .. } => ("linear", lin.as_matrix(), 1),
+            _ => return reference(step, input),
         };
+        let (k, n) = (m.shape()[0], m.shape()[1]);
         let tiled = tile_matrix(&Tensor::zeros(&[k, n]), spec.rows, spec.cols);
         let conversions = positions * tiled.row_tiles as u64;
         // Per-conversion energy of each tile, sized to its geometry.
@@ -148,6 +146,7 @@ pub fn network_perf(
             energy: Joules::new(tile_energy * positions as f64),
             utilization: cells_used / cells_allocated,
         });
+        reference(step, input)
     });
 
     let total_latency = layers.iter().map(|l| l.latency).sum();
@@ -162,36 +161,11 @@ pub fn network_perf(
     }
 }
 
-/// Walks the model in execution order, calling `visit(layer, input)`
-/// for every leaf layer with the tensor it will receive.
-fn walk(seq: &Sequential, x: &mut Tensor, visit: &mut dyn FnMut(&dyn Layer, &Tensor)) {
-    for layer in seq.layers() {
-        let any = layer.as_any();
-        if let Some(inner) = any.downcast_ref::<Sequential>() {
-            walk(inner, x, visit);
-        } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-            let mut main_x = x.clone();
-            walk(block.main(), &mut main_x, visit);
-            let skip = match block.shortcut() {
-                Some(s) => {
-                    let mut skip_x = x.clone();
-                    walk(s, &mut skip_x, visit);
-                    skip_x
-                }
-                None => x.clone(),
-            };
-            *x = main_x.add(&skip).map(|v| v.max(0.0));
-        } else {
-            visit(layer.as_ref(), x);
-            *x = layer.forward(x);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use afpr_nn::init::InitSpec;
+    use afpr_nn::layers::Linear;
     use afpr_nn::models::{tiny_mlp, tiny_resnet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -4,12 +4,14 @@
 //! quantization, range saturation/underflow, device variation, DAC
 //! mismatch) flows into the network's accuracy.
 //!
-//! Compute layers ([`Conv2d`]/[`Linear`]) are recognised by downcast
-//! and replaced with tiled macro execution; everything else (pooling,
-//! activations, depthwise convolutions) runs on the digital processing
-//! unit, as it would in the real system.
-
-use std::sync::Arc;
+//! The layer tree is walked by downcast in one place, [`Plan::new`],
+//! which flattens it into a list of [`Step`]s: compute layers
+//! ([`Conv2d`]/[`Linear`]) become tile steps that run on macros;
+//! everything else (pooling, activations, depthwise convolutions) runs
+//! on the digital processing unit, as it would in the real system;
+//! residual blocks become `Fork`/`Shortcut`/`Join` steps around their
+//! branches. Compiling, calibration, the forward pass and the
+//! network performance model all run that one list.
 
 use crate::accelerator::{AfprAccelerator, LayerHandle};
 use crate::dpu::Dpu;
@@ -17,8 +19,133 @@ use crate::resilience::{ChaosConfig, ChaosController, ChaosStats};
 use afpr_nn::layers::{Conv2d, Layer, Linear};
 use afpr_nn::model::{ResidualBlock, Sequential};
 use afpr_nn::tensor::Tensor;
-use afpr_runtime::Engine;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
+
+/// One step of a [`Plan`]. A step's index in the plan is its id.
+pub(crate) enum Step<'m> {
+    /// A convolution on macros; `tile` indexes the layer handles in
+    /// plan order.
+    Conv { tile: usize, conv: &'m Conv2d },
+    /// A fully-connected layer on macros.
+    Linear { tile: usize, lin: &'m Linear },
+    /// A layer the DPU runs (activation, pooling, flatten…).
+    Dpu(&'m dyn Layer),
+    /// Residual block entry: keep the block input.
+    Fork,
+    /// Main branch done: keep its output and restart from the block
+    /// input (an identity shortcut has no steps of its own).
+    Shortcut,
+    /// Residual add of the main and shortcut outputs, then ReLU.
+    Join,
+}
+
+/// A model's layer tree flattened into execution order.
+pub(crate) struct Plan<'m> {
+    /// The steps, in execution order.
+    pub(crate) steps: Vec<Step<'m>>,
+    /// `starts[i]` is the first step of top-level layer `i`;
+    /// `starts[model.len()]` is `steps.len()`.
+    starts: Vec<usize>,
+    /// Number of tile steps.
+    tiles: usize,
+}
+
+impl<'m> Plan<'m> {
+    /// The one downcast walk of the layer tree.
+    pub(crate) fn new(model: &'m Sequential) -> Self {
+        let mut plan = Plan {
+            steps: Vec::with_capacity(model.len()),
+            starts: Vec::with_capacity(model.len() + 1),
+            tiles: 0,
+        };
+        for layer in model.layers() {
+            plan.starts.push(plan.steps.len());
+            plan.push(layer.as_ref());
+        }
+        plan.starts.push(plan.steps.len());
+        plan
+    }
+
+    fn push(&mut self, layer: &'m dyn Layer) {
+        let any = layer.as_any();
+        if let Some(conv) = any.downcast_ref::<Conv2d>() {
+            self.steps.push(Step::Conv {
+                tile: self.tiles,
+                conv,
+            });
+            self.tiles += 1;
+        } else if let Some(lin) = any.downcast_ref::<Linear>() {
+            self.steps.push(Step::Linear {
+                tile: self.tiles,
+                lin,
+            });
+            self.tiles += 1;
+        } else if let Some(seq) = any.downcast_ref::<Sequential>() {
+            self.push_all(seq);
+        } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
+            self.steps.push(Step::Fork);
+            self.push_all(block.main());
+            self.steps.push(Step::Shortcut);
+            if let Some(shortcut) = block.shortcut() {
+                self.push_all(shortcut);
+            }
+            self.steps.push(Step::Join);
+        } else {
+            self.steps.push(Step::Dpu(layer));
+        }
+    }
+
+    fn push_all(&mut self, seq: &'m Sequential) {
+        for layer in seq.layers() {
+            self.push(layer.as_ref());
+        }
+    }
+
+    /// Runs the steps of top-level layers `[start, end)` on `x`. The
+    /// residual structure runs here; `exec` runs every tile and DPU
+    /// step, and the ReLU of each `Join` on the residual sum.
+    pub(crate) fn run(
+        &self,
+        start: usize,
+        end: usize,
+        x: &Tensor,
+        exec: &mut dyn FnMut(&Step<'m>, Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut cur = x.clone();
+        let mut stack = Vec::new();
+        for step in &self.steps[self.starts[start]..self.starts[end]] {
+            cur = match step {
+                Step::Fork => {
+                    stack.push(cur.clone());
+                    cur
+                }
+                Step::Shortcut => {
+                    let input = stack.pop().expect("a fork precedes its shortcut");
+                    stack.push(cur);
+                    input
+                }
+                Step::Join => {
+                    let main = stack.pop().expect("a fork precedes its join");
+                    exec(step, main.add(&cur))
+                }
+                _ => exec(step, cur),
+            };
+        }
+        cur
+    }
+}
+
+/// The FP32 meaning of a tile, DPU or `Join` step: what calibration
+/// and the performance model propagate between layers.
+pub(crate) fn reference(step: &Step<'_>, x: Tensor) -> Tensor {
+    match *step {
+        Step::Conv { conv, .. } => conv.forward(&x),
+        Step::Linear { lin, .. } => lin.forward(&x),
+        Step::Dpu(layer) => layer.forward(&x),
+        Step::Join => x.map(|v| v.max(0.0)),
+        Step::Fork | Step::Shortcut => unreachable!("structure steps run in Plan::run"),
+    }
+}
 
 /// A model compiled onto CIM macros.
 ///
@@ -42,12 +169,9 @@ use afpr_xbar::spec::{MacroMode, MacroSpec};
 /// ```
 pub struct MacroModelSim {
     accel: AfprAccelerator,
-    /// Handles in deterministic traversal order of compute layers.
+    /// One handle per tile step, in plan order.
     handles: Vec<LayerHandle>,
     dpu: Dpu,
-    /// Parallel execution mode: when set, compute layers run on the
-    /// worker pool (tile jobs; conv positions micro-batched).
-    engine: Option<Arc<Engine>>,
     /// Live fault environment: when set, every forward pass ticks the
     /// controller (injection / drift / scrub) before executing.
     chaos: Option<ChaosController>,
@@ -65,8 +189,15 @@ impl MacroModelSim {
     #[must_use]
     pub fn compile_with_spec(model: &Sequential, spec: MacroSpec, seed: u64) -> Self {
         let mut accel = AfprAccelerator::with_spec(spec, seed);
-        let mut handles = Vec::new();
-        map_sequential(model, &mut accel, &mut handles);
+        let handles = Plan::new(model)
+            .steps
+            .iter()
+            .filter_map(|step| match *step {
+                Step::Conv { conv, .. } => Some(accel.map_matrix(&conv.as_matrix())),
+                Step::Linear { lin, .. } => Some(accel.map_matrix(&lin.as_matrix())),
+                _ => None,
+            })
+            .collect();
         // Build every array's conductance-snapshot kernel up front so
         // the first forward pass is as fast as the steady state (the
         // snapshot is a pure function of the freshly programmed cells;
@@ -76,28 +207,8 @@ impl MacroModelSim {
             accel,
             handles,
             dpu: Dpu::new(),
-            engine: None,
             chaos: None,
         }
-    }
-
-    /// Switches the sim into parallel mode: compute layers execute
-    /// their tiles on `engine`'s worker pool, and convolution patch
-    /// positions are micro-batched through
-    /// [`AfprAccelerator::forward_batch`].
-    ///
-    /// Outputs, energy and statistics stay **bit-identical** to the
-    /// sequential mode for the same compile seed (see
-    /// `afpr-runtime`'s determinism contract).
-    #[must_use]
-    pub fn with_engine(mut self, engine: Arc<Engine>) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Leaves parallel mode, returning the engine if one was set.
-    pub fn take_engine(&mut self) -> Option<Arc<Engine>> {
-        self.engine.take()
     }
 
     /// Attaches a live fault environment: every [`forward`](Self::forward)
@@ -134,26 +245,6 @@ impl MacroModelSim {
         }
     }
 
-    /// One matvec, routed through the engine when in parallel mode.
-    fn matvec(&mut self, handle: LayerHandle, x: &[f32]) -> Vec<f32> {
-        match &self.engine {
-            Some(engine) => self.accel.matvec_parallel(handle, x, engine),
-            None => self.accel.matvec(handle, x),
-        }
-    }
-
-    /// A micro-batch of matvecs (conv patch positions), batched onto
-    /// the engine when in parallel mode. Sequential mode still runs
-    /// the batched GEMM kernel inline — one blocked conductance pass
-    /// per tile for the whole batch, bit-identical to a per-sample
-    /// matvec loop.
-    fn matvec_many(&mut self, handle: LayerHandle, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        match &self.engine {
-            Some(engine) => self.accel.forward_batch(handle, xs, engine),
-            None => self.accel.matvec_batch(handle, xs),
-        }
-    }
-
     /// The underlying accelerator (stats, energy…).
     #[must_use]
     pub fn accelerator(&self) -> &AfprAccelerator {
@@ -166,6 +257,13 @@ impl MacroModelSim {
         &self.dpu
     }
 
+    /// The plan of `model`, checked against the compiled handles.
+    fn plan<'m>(&self, model: &'m Sequential) -> Plan<'m> {
+        let plan = Plan::new(model);
+        assert_eq!(plan.tiles, self.handles.len(), "traversal mismatch");
+        plan
+    }
+
     /// Calibrates every mapped layer's ADC range by propagating the
     /// calibration samples through the FP32 model and handing each
     /// compute layer its observed inputs.
@@ -175,10 +273,25 @@ impl MacroModelSim {
     /// Panics if `model` is not the model this sim was compiled from
     /// (traversal mismatch).
     pub fn calibrate(&mut self, model: &Sequential, samples: &[Tensor]) {
+        let plan = self.plan(model);
         let mut layer_inputs: Vec<Vec<Vec<f32>>> = vec![Vec::new(); self.handles.len()];
         for sample in samples {
-            let mut cursor = 0usize;
-            collect_inputs_sequential(model, sample, &mut cursor, &mut layer_inputs);
+            plan.run(0, model.len(), sample, &mut |step, x| {
+                match *step {
+                    Step::Conv { tile, conv } => {
+                        let cols = conv.im2col(&x);
+                        let [k, positions]: [usize; 2] = cols.shape().try_into().expect("2-D");
+                        // Sample a handful of patch columns for range
+                        // calibration.
+                        for p in (0..positions).step_by((positions / 4).max(1)) {
+                            layer_inputs[tile].push((0..k).map(|r| cols.get(&[r, p])).collect());
+                        }
+                    }
+                    Step::Linear { tile, .. } => layer_inputs[tile].push(x.data().to_vec()),
+                    _ => {}
+                }
+                reference(step, x)
+            });
         }
         for (handle, inputs) in self.handles.iter().zip(&layer_inputs) {
             self.accel.calibrate_layer(*handle, inputs);
@@ -191,11 +304,7 @@ impl MacroModelSim {
     ///
     /// Panics if `model` is not the model this sim was compiled from.
     pub fn forward(&mut self, model: &Sequential, x: &Tensor) -> Tensor {
-        let _ = self.chaos_tick();
-        let mut cursor = 0usize;
-        let out = forward_sequential(model, x, &mut cursor, self);
-        assert_eq!(cursor, self.handles.len(), "traversal mismatch");
-        out
+        self.forward_layers(model, x, 0, model.len())
     }
 
     /// Hardware-in-the-loop forward over the top-level layer range
@@ -219,190 +328,46 @@ impl MacroModelSim {
     ) -> Tensor {
         assert!(start <= end && end <= model.len(), "bad layer range");
         let _ = self.chaos_tick();
-        // Position the handle cursor at the first compute layer of
-        // `start` by counting compute layers in the skipped prefix.
-        let mut cursor: usize = model.layers()[..start]
-            .iter()
-            .map(|l| count_compute_layers(l.as_ref()))
-            .sum();
-        let mut cur = x.clone();
-        for layer in &model.layers()[start..end] {
-            cur = forward_layer(layer.as_ref(), &cur, &mut cursor, self);
-        }
-        if end == model.len() {
-            assert_eq!(cursor, self.handles.len(), "traversal mismatch");
-        }
-        cur
-    }
-}
-
-/// Number of macro-mapped compute layers ([`Conv2d`]/[`Linear`],
-/// including those nested in [`Sequential`]/[`ResidualBlock`]) under a
-/// layer — mirrors `map_layer`'s traversal exactly.
-fn count_compute_layers(layer: &dyn Layer) -> usize {
-    let any = layer.as_any();
-    if any.downcast_ref::<Conv2d>().is_some() || any.downcast_ref::<Linear>().is_some() {
-        1
-    } else if let Some(inner) = any.downcast_ref::<Sequential>() {
-        inner
-            .layers()
-            .iter()
-            .map(|l| count_compute_layers(l.as_ref()))
-            .sum()
-    } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-        let main: usize = block
-            .main()
-            .layers()
-            .iter()
-            .map(|l| count_compute_layers(l.as_ref()))
-            .sum();
-        let short: usize = block.shortcut().map_or(0, |s| {
-            s.layers()
-                .iter()
-                .map(|l| count_compute_layers(l.as_ref()))
-                .sum()
-        });
-        main + short
-    } else {
-        0
-    }
-}
-
-fn map_sequential(seq: &Sequential, accel: &mut AfprAccelerator, handles: &mut Vec<LayerHandle>) {
-    for layer in seq.layers() {
-        map_layer(layer.as_ref(), accel, handles);
-    }
-}
-
-fn map_layer(layer: &dyn Layer, accel: &mut AfprAccelerator, handles: &mut Vec<LayerHandle>) {
-    let any = layer.as_any();
-    if let Some(conv) = any.downcast_ref::<Conv2d>() {
-        handles.push(accel.map_matrix(&conv.as_matrix()));
-    } else if let Some(lin) = any.downcast_ref::<Linear>() {
-        handles.push(accel.map_matrix(&lin.as_matrix()));
-    } else if let Some(inner) = any.downcast_ref::<Sequential>() {
-        map_sequential(inner, accel, handles);
-    } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-        map_sequential(block.main(), accel, handles);
-        if let Some(s) = block.shortcut() {
-            map_sequential(s, accel, handles);
-        }
-    }
-}
-
-fn collect_inputs_sequential(
-    seq: &Sequential,
-    x: &Tensor,
-    cursor: &mut usize,
-    out: &mut [Vec<Vec<f32>>],
-) -> Tensor {
-    let mut cur = x.clone();
-    for layer in seq.layers() {
-        cur = collect_inputs_layer(layer.as_ref(), &cur, cursor, out);
-    }
-    cur
-}
-
-fn collect_inputs_layer(
-    layer: &dyn Layer,
-    x: &Tensor,
-    cursor: &mut usize,
-    out: &mut [Vec<Vec<f32>>],
-) -> Tensor {
-    let any = layer.as_any();
-    if let Some(conv) = any.downcast_ref::<Conv2d>() {
-        let cols = conv.im2col(x);
-        let [k, positions]: [usize; 2] = cols.shape().try_into().expect("2-D");
-        // Sample a handful of patch columns for range calibration.
-        for p in (0..positions).step_by((positions / 4).max(1)) {
-            out[*cursor].push((0..k).map(|r| cols.get(&[r, p])).collect());
-        }
-        *cursor += 1;
-        layer.forward(x)
-    } else if any.downcast_ref::<Linear>().is_some() {
-        out[*cursor].push(x.data().to_vec());
-        *cursor += 1;
-        layer.forward(x)
-    } else if let Some(inner) = any.downcast_ref::<Sequential>() {
-        collect_inputs_sequential(inner, x, cursor, out)
-    } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-        let main = collect_inputs_sequential(block.main(), x, cursor, out);
-        let skip = match block.shortcut() {
-            Some(s) => collect_inputs_sequential(s, x, cursor, out),
-            None => x.clone(),
-        };
-        main.add(&skip).map(|v| v.max(0.0))
-    } else {
-        layer.forward(x)
-    }
-}
-
-fn forward_sequential(
-    seq: &Sequential,
-    x: &Tensor,
-    cursor: &mut usize,
-    sim: &mut MacroModelSim,
-) -> Tensor {
-    let mut cur = x.clone();
-    for layer in seq.layers() {
-        cur = forward_layer(layer.as_ref(), &cur, cursor, sim);
-    }
-    cur
-}
-
-fn forward_layer(
-    layer: &dyn Layer,
-    x: &Tensor,
-    cursor: &mut usize,
-    sim: &mut MacroModelSim,
-) -> Tensor {
-    let any = layer.as_any();
-    if let Some(conv) = any.downcast_ref::<Conv2d>() {
-        let handle = sim.handles[*cursor];
-        *cursor += 1;
-        let cols = conv.im2col(x);
-        let [k, positions]: [usize; 2] = cols.shape().try_into().expect("2-D");
-        let oc = conv.weight().shape()[0];
-        let h = x.shape()[1];
-        let w = x.shape()[2];
-        let (oh, ow) = (conv.out_size(h), conv.out_size(w));
-        let mut out = Tensor::zeros(&[oc, oh, ow]);
-        let patches: Vec<Vec<f32>> = (0..positions)
-            .map(|p| (0..k).map(|r| cols.get(&[r, p])).collect())
-            .collect();
-        let ys = sim.matvec_many(handle, &patches);
-        for (p, mut y) in ys.into_iter().enumerate() {
-            sim.dpu.add_bias(&mut y, conv.bias());
-            for (o, v) in y.iter().enumerate() {
-                out.data_mut()[o * oh * ow + p] = *v;
+        let plan = self.plan(model);
+        let (accel, handles, dpu) = (&mut self.accel, &self.handles, &mut self.dpu);
+        plan.run(start, end, x, &mut |step, mut x| match *step {
+            Step::Conv { tile, conv } => {
+                let cols = conv.im2col(&x);
+                let [k, positions]: [usize; 2] = cols.shape().try_into().expect("2-D");
+                let (oh, ow) = (conv.out_size(x.shape()[1]), conv.out_size(x.shape()[2]));
+                let mut out = Tensor::zeros(&[conv.weight().shape()[0], oh, ow]);
+                let patches: Vec<Vec<f32>> = (0..positions)
+                    .map(|p| (0..k).map(|r| cols.get(&[r, p])).collect())
+                    .collect();
+                let ys = accel.matvec_batch(handles[tile], &patches);
+                for (p, mut y) in ys.into_iter().enumerate() {
+                    dpu.add_bias(&mut y, conv.bias());
+                    for (o, v) in y.iter().enumerate() {
+                        out.data_mut()[o * oh * ow + p] = *v;
+                    }
+                }
+                out
             }
-        }
-        out
-    } else if let Some(lin) = any.downcast_ref::<Linear>() {
-        let handle = sim.handles[*cursor];
-        *cursor += 1;
-        let mut y = sim.matvec(handle, x.data());
-        sim.dpu.add_bias(&mut y, lin.bias());
-        Tensor::new(&[y.len()], y)
-    } else if let Some(inner) = any.downcast_ref::<Sequential>() {
-        forward_sequential(inner, x, cursor, sim)
-    } else if let Some(block) = any.downcast_ref::<ResidualBlock>() {
-        let main = forward_sequential(block.main(), x, cursor, sim);
-        let skip = match block.shortcut() {
-            Some(s) => forward_sequential(s, x, cursor, sim),
-            None => x.clone(),
-        };
-        let mut sum = main.add(&skip);
-        sim.dpu.relu(sum.data_mut());
-        sum
-    } else {
-        // Activation / pooling / normalization run on the DPU
-        // (paper §III-A: "performed by an activation or pooling
-        // operation through an intermediate digital processing unit");
-        // account one DPU op per produced element.
-        let out = layer.forward(x);
-        sim.dpu.count_passthrough(out.len());
-        out
+            Step::Linear { tile, lin } => {
+                let mut y = accel.matvec(handles[tile], x.data());
+                dpu.add_bias(&mut y, lin.bias());
+                Tensor::new(&[y.len()], y)
+            }
+            // Activation / pooling / normalization run on the DPU
+            // (paper §III-A: "performed by an activation or pooling
+            // operation through an intermediate digital processing
+            // unit"); account one DPU op per produced element.
+            Step::Dpu(layer) => {
+                let out = layer.forward(&x);
+                dpu.count_passthrough(out.len());
+                out
+            }
+            Step::Join => {
+                dpu.relu(x.data_mut());
+                x
+            }
+            Step::Fork | Step::Shortcut => unreachable!("structure steps run in Plan::run"),
+        })
     }
 }
 

@@ -6,16 +6,11 @@
 //! experiments: enabling parallelism can never change a paper artefact.
 
 use afpr_core::accelerator::AfprAccelerator;
-use afpr_core::sim::MacroModelSim;
-use afpr_nn::init::InitSpec;
-use afpr_nn::layers::{Conv2d, Flatten, GlobalAvgPool, Relu};
-use afpr_nn::model::Sequential;
 use afpr_nn::tensor::Tensor;
 use afpr_runtime::Engine;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 const SEEDS: [u64; 3] = [1, 42, 2024];
 const THREADS: [usize; 2] = [2, 4];
@@ -58,7 +53,7 @@ fn assert_bits_eq(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
 }
 
 #[test]
-fn matvec_parallel_is_bit_identical_across_seeds_and_thread_counts() {
+fn engine_batch_of_one_is_bit_identical_across_seeds_and_thread_counts() {
     for seed in SEEDS {
         // Sequential golden run: several calls so RNG streams advance.
         let (mut seq, h) = tiled_accel(seed);
@@ -72,7 +67,7 @@ fn matvec_parallel_is_bit_identical_across_seeds_and_thread_counts() {
             let (mut par, h) = tiled_accel(seed);
             let got: Vec<Vec<f32>> = xs
                 .iter()
-                .map(|x| par.matvec_parallel(h, x, &engine))
+                .flat_map(|x| par.forward_batch(h, std::slice::from_ref(x), &engine))
                 .collect();
             assert_bits_eq(&golden, &got, &format!("seed {seed}, {threads} threads"));
 
@@ -193,58 +188,12 @@ fn interleaving_parallel_and_sequential_calls_stays_deterministic() {
             if i % 2 == 0 {
                 a.matvec(ha, x)
             } else {
-                a.matvec_parallel(ha, x, &engine)
+                a.forward_batch(ha, std::slice::from_ref(x), &engine)
+                    .pop()
+                    .expect("a batch of one gives one output")
             }
         })
         .collect();
     let yb: Vec<Vec<f32>> = xs.iter().map(|x| b.matvec(hb, x)).collect();
     assert_bits_eq(&yb, &ya, "interleaved");
-}
-
-fn conv_model(seed: u64) -> (Sequential, Tensor) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w = Tensor::new(
-        &[4, 2, 3, 3],
-        afpr_nn::init::he_weights(72, 18, InitSpec::gaussian(), &mut rng),
-    );
-    let model = Sequential::new()
-        .push(Conv2d::new(w, vec![0.0; 4], 1, 1))
-        .push(Relu)
-        .push(GlobalAvgPool)
-        .push(Flatten);
-    let x = Tensor::from_fn(&[2, 6, 6], |i| ((i[1] * 6 + i[2]) as f32 * 0.21).sin());
-    (model, x)
-}
-
-#[test]
-fn sim_parallel_mode_matches_sequential_mode() {
-    for seed in SEEDS {
-        let (model, x) = conv_model(seed);
-        // Small macros force tiling (K=18 → 3 row tiles, N=4 → 2 col
-        // tiles), so the parallel path really fans out.
-        let spec = MacroSpec::small(8, 2, MacroMode::FpE2M5);
-
-        let mut seq = MacroModelSim::compile_with_spec(&model, spec.clone(), seed);
-        seq.calibrate(&model, std::slice::from_ref(&x));
-        let golden = seq.forward(&model, &x);
-
-        for threads in THREADS {
-            let engine = Arc::new(Engine::with_threads(threads));
-            let mut par = MacroModelSim::compile_with_spec(&model, spec.clone(), seed)
-                .with_engine(Arc::clone(&engine));
-            par.calibrate(&model, std::slice::from_ref(&x));
-            let got = par.forward(&model, &x);
-            assert_eq!(golden.shape(), got.shape());
-            for (a, b) in golden.data().iter().zip(got.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "sim outputs differ: {a} vs {b}");
-            }
-            assert_eq!(
-                seq.accelerator().stats().conversions,
-                par.accelerator().stats().conversions
-            );
-            assert_eq!(seq.dpu().ops(), par.dpu().ops());
-            // The engine actually ran tile jobs in parallel mode.
-            assert!(engine.metrics().snapshot().tiles_executed > 0);
-        }
-    }
 }

@@ -17,16 +17,16 @@
 //!
 //! # Determinism contract
 //!
-//! For a fixed seed, `AfprAccelerator::matvec_parallel` (in
+//! For a fixed seed, `AfprAccelerator::forward_batch` (in
 //! `afpr-core`) produces bit-identical outputs *and* identical
-//! energy/statistics to `matvec`, for any worker count. This holds
-//! because:
+//! energy/statistics to one `matvec` per sample, for any worker count.
+//! This holds because:
 //!
 //! 1. each macro's RNG stream advances only inside that macro's own
 //!    jobs, and jobs are issued once per macro in a fixed order;
-//! 2. results return in submission order, so the adder reduction
-//!    (`ct`-outer, `rt`-inner) replays the sequential float-addition
-//!    order exactly.
+//! 2. results return in submission order, so each sample's row-tile
+//!    partials reach the adder in the same order, and the reduction
+//!    replays the engine-free float-addition order exactly.
 //!
 //! # Quick start
 //!

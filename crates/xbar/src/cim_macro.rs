@@ -33,6 +33,19 @@
 //! read out"), both counted in [`MacroStats`] — exactly the circuit
 //! non-linearities the paper feeds into its network-accuracy
 //! simulation (§IV-D).
+//!
+//! ## One compute path
+//!
+//! [`CimMacro::matvec_batch`] is the only code that drives the arrays
+//! and the ADCs for compute, as one DAC → array → ADC pipeline: per
+//! sample, quantize and build one DAC drive row per live sign phase;
+//! one blocked conductance pass per polarity array over the whole
+//! batch's drive slab ([`Crossbar::mac_currents_batch`]); then one ADC
+//! readout per column and one energy/latency account per sample.
+//! [`CimMacro::matvec`] is a batch of one. With runtime read noise
+//! (`read_noise_sigma != 0`) the array stage runs one sample at a time
+//! through [`Crossbar::mac_currents_noisy`], so every RNG stream keeps
+//! the per-sample draw order.
 
 use crate::crossbar::Crossbar;
 use crate::mapping::{map_weights, MappedWeights};
@@ -49,15 +62,19 @@ use afpr_circuit::{EnergyModel, Pga};
 use afpr_num::HwFpCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Which weight polarity array a raw phase drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WeightPolarity {
-    /// The positive-weight array.
-    Positive,
-    /// The negative-weight array.
-    Negative,
+/// One sample's share of a batch in [`CimMacro::matvec_batch`].
+struct Sample {
+    /// Its drive rows in the batch's drive slab, at most one per sign
+    /// phase.
+    drives: Range<usize>,
+    /// The integrator sign of each drive row.
+    signs: [f64; 2],
+    /// Activation quantizer scale.
+    a_scale: f32,
+    /// Rows driven with a non-zero code.
+    active_rows: usize,
 }
 
 /// One AFPR-CIM macro instance.
@@ -410,422 +427,83 @@ impl CimMacro {
         }
     }
 
-    /// DAC stage for one FP drive vector: shared mantissa ladder,
+    /// FP-DAC drive of row `r` for one code: shared mantissa ladder,
     /// per-row PGA.
-    fn fp_voltages(&self, drive: &[Option<HwFpCode>]) -> Vec<Volts> {
-        drive
-            .iter()
-            .enumerate()
-            .map(|(r, code)| match code {
-                Some(c) => Volts::new(
-                    self.row_pgas[r].apply(c.exp(), self.fp_dac.mantissa_voltage(c.man()).volts()),
-                ),
-                None => Volts::ZERO,
-            })
-            .collect()
+    fn fp_voltage(&self, r: usize, c: HwFpCode) -> Volts {
+        Volts::new(self.row_pgas[r].apply(c.exp(), self.fp_dac.mantissa_voltage(c.man()).volts()))
     }
 
-    /// Raw single-phase operation: unsigned codes against one weight
-    /// polarity, every column ADC converting the raw (divided) current.
-    /// This is the primitive the paper's dense-mode Table I operation
-    /// and the Fig. 5 functional test exercise. Returns per-column
-    /// digital values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode, `drive.len() != rows`, or
-    /// weights are not programmed.
-    pub fn compute_phase_fp(
-        &mut self,
-        drive: &[Option<HwFpCode>],
-        polarity: WeightPolarity,
-    ) -> Vec<f64> {
-        assert!(
-            self.spec.mode.fp_format().is_some(),
-            "compute_phase_fp needs an FP mode"
-        );
-        assert_eq!(drive.len(), self.spec.rows, "need one activation per row");
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let voltages = self.fp_voltages(drive);
-        let array = match polarity {
-            WeightPolarity::Positive => &self.pos,
-            WeightPolarity::Negative => &self.neg,
-        };
-        let currents = array.mac_currents_noisy(&voltages, &mut self.rng);
-        let array_energy = array.array_energy(&voltages, self.spec.fp_adc.t_integrate);
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for (col, i) in currents.iter().enumerate() {
-            let scaled = Amps::new(i.amps() / divider);
-            let r = self.fp_adcs[col].convert_noisy(scaled, &mut self.rng);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            if r.underflow {
-                self.stats.underflows += 1;
-            }
-            out.push(r.value() * units);
-        }
-
-        let active_rows = voltages.iter().filter(|v| v.volts() > 0.0).count();
-        self.account(AdcSpec::fp(&self.spec.fp_adc), active_rows, array_energy, 1);
-        out
-    }
-
-    /// Signed FP matrix-vector product in *digital* units
-    /// (`Σ a_i w_ij`): differential charge accumulation over up to two
-    /// input-sign phases, one magnitude readout per column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode, lengths mismatch, or
-    /// weights are not programmed.
-    pub fn matvec_digital_fp(&mut self, activations: &[SignedActivation]) -> Vec<f64> {
-        assert!(
-            self.spec.mode.fp_format().is_some(),
-            "matvec_digital_fp needs an FP mode"
-        );
-        assert_eq!(
-            activations.len(),
-            self.spec.rows,
-            "need one activation per row"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let pos_drive: Vec<Option<HwFpCode>> = activations
-            .iter()
-            .map(|a| if a.negative { None } else { a.code })
-            .collect();
-        let neg_drive: Vec<Option<HwFpCode>> = activations
-            .iter()
-            .map(|a| if a.negative { a.code } else { None })
-            .collect();
-
-        let mut net = vec![0.0f64; self.spec.cols]; // amps, signed
-        let mut array_energy = Joules::ZERO;
-        let mut phases = 0u32;
-        for (drive, sign) in [(&pos_drive, 1.0f64), (&neg_drive, -1.0f64)] {
-            if drive.iter().all(Option::is_none) {
-                continue;
-            }
-            phases += 1;
-            let voltages = self.fp_voltages(drive);
-            // Differential pair shares the word line: one DAC drive
-            // feeds both polarities; integrator accumulates I⁺ − I⁻
-            // with the phase sign.
-            let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
-            let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
-            for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
-                *n += sign * (p.amps() - m.amps());
-            }
-            array_energy += self
-                .pos
-                .array_energy(&voltages, self.spec.fp_adc.t_integrate)
-                + self
-                    .neg
-                    .array_energy(&voltages, self.spec.fp_adc.t_integrate);
-        }
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for (col, i_net) in net.iter().enumerate() {
-            let magnitude = Amps::new(i_net.abs() / divider);
-            let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            if r.underflow {
-                self.stats.underflows += 1;
-            }
-            out.push(r.value() * units * i_net.signum());
-        }
-
-        let active_rows = activations.iter().filter(|a| a.code.is_some()).count();
-        self.account(
-            AdcSpec::fp(&self.spec.fp_adc),
-            active_rows,
-            array_energy,
-            phases.max(1),
-        );
-        out
-    }
-
-    /// True batched signed FP GEMM: B matvecs computed with a single
-    /// blocked conductance pass per differential array over the whole
-    /// drive slab, instead of B independent array traversals.
-    ///
-    /// Bit-identical to calling [`CimMacro::matvec_digital_fp`] once
-    /// per sample, in order: per-(sample, column) accumulators replay
-    /// the exact per-row float-op sequence, the ADC readouts consume
-    /// the macro RNG in the same (sample, column) order, and energy /
-    /// stats accounting runs per sample as in the sequential loop.
-    /// Device configs with runtime read noise
-    /// (`read_noise_sigma != 0`) fall back to the sequential path so
-    /// the per-cell RNG draw order is preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode, a sample length
-    /// mismatches, or weights are not programmed.
-    pub fn matvec_digital_fp_batch(&mut self, batch: &[Vec<SignedActivation>]) -> Vec<Vec<f64>> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        if self.spec.device.read_noise_sigma != 0.0 || batch.len() == 1 {
-            return batch
-                .iter()
-                .map(|acts| self.matvec_digital_fp(acts))
-                .collect();
-        }
-        assert!(
-            self.spec.mode.fp_format().is_some(),
-            "matvec_digital_fp_batch needs an FP mode"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        // Flatten the per-sample sign-chopping phases into one drive
-        // slab, in (sample, phase) order — the same order the
-        // sequential loop would issue them.
-        let mut drives: Vec<Vec<Volts>> = Vec::with_capacity(batch.len() * 2);
-        let mut meta: Vec<(usize, f64)> = Vec::with_capacity(batch.len() * 2);
-        for (s, activations) in batch.iter().enumerate() {
-            assert_eq!(
-                activations.len(),
-                self.spec.rows,
-                "need one activation per row"
-            );
-            for negative in [false, true] {
-                let drive: Vec<Option<HwFpCode>> = activations
-                    .iter()
-                    .map(|a| if a.negative == negative { a.code } else { None })
-                    .collect();
-                if drive.iter().all(Option::is_none) {
-                    continue;
-                }
-                drives.push(self.fp_voltages(&drive));
-                meta.push((s, if negative { -1.0 } else { 1.0 }));
-            }
-        }
-
-        let t = self.spec.fp_adc.t_integrate;
-        let ip = self.pos.mac_currents_batch(&drives);
-        let im = self.neg.mac_currents_batch(&drives);
-        let ep = self.pos.array_energy_batch(&drives, t);
-        let em = self.neg.array_energy_batch(&drives, t);
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(batch.len());
-        let mut k = 0usize;
-        for (s, activations) in batch.iter().enumerate() {
-            let mut net = vec![0.0f64; self.spec.cols];
-            let mut array_energy = Joules::ZERO;
-            let mut phases = 0u32;
-            while k < meta.len() && meta[k].0 == s {
-                let sign = meta[k].1;
-                phases += 1;
-                for (n, (p, m)) in net.iter_mut().zip(ip[k].iter().zip(&im[k])) {
-                    *n += sign * (p.amps() - m.amps());
-                }
-                array_energy += ep[k] + em[k];
-                k += 1;
-            }
-            let mut y = Vec::with_capacity(self.spec.cols);
-            for (col, i_net) in net.iter().enumerate() {
-                let magnitude = Amps::new(i_net.abs() / divider);
-                let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
-                if r.overflow {
-                    self.stats.saturations += 1;
-                }
-                if r.underflow {
-                    self.stats.underflows += 1;
-                }
-                y.push(r.value() * units * i_net.signum());
-            }
-            let active_rows = activations.iter().filter(|a| a.code.is_some()).count();
-            self.account(
-                AdcSpec::fp(&self.spec.fp_adc),
-                active_rows,
-                array_energy,
-                phases.max(1),
-            );
-            out.push(y);
-        }
-        out
-    }
-
-    /// Signed INT8 matrix-vector product in digital units (activation
-    /// magnitudes `0..=255` with sign flags).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_digital_int(&mut self, activations: &[(bool, u32)]) -> Vec<f64> {
-        assert_eq!(
-            self.spec.mode,
-            MacroMode::Int8,
-            "matvec_digital_int needs INT8 mode"
-        );
-        assert_eq!(
-            activations.len(),
-            self.spec.rows,
-            "need one activation per row"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let mut net = vec![0.0f64; self.spec.cols];
-        let mut array_energy = Joules::ZERO;
-        let mut phases = 0u32;
-        for (want_neg, sign) in [(false, 1.0f64), (true, -1.0f64)] {
-            let voltages: Vec<Volts> = activations
-                .iter()
-                .map(|&(neg, m)| {
-                    if neg == want_neg {
-                        self.int_dac.convert(m)
-                    } else {
-                        Volts::ZERO
+    /// DAC stage for one sample: quantizes `x` in the macro's format
+    /// and appends one drive row per live sign phase to `drives`,
+    /// positive phase first. An FP phase is live when one of its rows
+    /// carries a code, an INT phase when it drives a non-zero voltage.
+    fn drive_rows(&self, x: &[f32], drives: &mut Vec<Vec<Volts>>) -> Sample {
+        assert_eq!(x.len(), self.spec.rows, "need one activation per row");
+        let first = drives.len();
+        let mut signs = [0.0; 2];
+        let (a_scale, active_rows) = match self.spec.mode {
+            MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
+                let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
+                let acts = q.quantize_slice(x);
+                for (negative, sign) in [(false, 1.0), (true, -1.0)] {
+                    if acts
+                        .iter()
+                        .any(|a| a.negative == negative && a.code.is_some())
+                    {
+                        let drive = acts.iter().enumerate().map(|(r, a)| match a.code {
+                            Some(c) if a.negative == negative => self.fp_voltage(r, c),
+                            _ => Volts::ZERO,
+                        });
+                        signs[drives.len() - first] = sign;
+                        drives.push(drive.collect());
                     }
-                })
-                .collect();
-            if voltages.iter().all(|v| v.volts() == 0.0) {
-                continue;
+                }
+                (q.scale, acts.iter().filter(|a| a.code.is_some()).count())
             }
-            phases += 1;
-            let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
-            let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
-            for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
-                *n += sign * (p.amps() - m.amps());
+            MacroMode::Int8 => {
+                let q = IntActQuantizer::calibrate(x);
+                let acts: Vec<(bool, u32)> = x.iter().map(|&v| q.quantize(v)).collect();
+                for (negative, sign) in [(false, 1.0), (true, -1.0)] {
+                    let drive: Vec<Volts> = acts
+                        .iter()
+                        .map(|&(neg, m)| {
+                            if neg == negative {
+                                self.int_dac.convert(m)
+                            } else {
+                                Volts::ZERO
+                            }
+                        })
+                        .collect();
+                    if drive.iter().any(|v| v.volts() != 0.0) {
+                        signs[drives.len() - first] = sign;
+                        drives.push(drive);
+                    }
+                }
+                let active_rows = acts.iter().filter(|&&(_, m)| m > 0).count();
+                (q.inner().scale(), active_rows)
             }
-            array_energy += self
-                .pos
-                .array_energy(&voltages, self.spec.int_adc.t_integrate)
-                + self
-                    .neg
-                    .array_energy(&voltages, self.spec.int_adc.t_integrate);
-        }
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for i_net in &net {
-            let magnitude = Amps::new(i_net.abs() / divider);
-            let r = self.int_adc.convert(magnitude);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            out.push(f64::from(r.code) * units * i_net.signum());
-        }
-
-        let active_rows = activations.iter().filter(|&&(_, m)| m > 0).count();
-        self.account(
-            AdcSpec::int(&self.spec.int_adc),
+        };
+        Sample {
+            drives: first..drives.len(),
+            signs,
+            a_scale,
             active_rows,
-            array_energy,
-            phases.max(1),
-        );
-        out
+        }
     }
 
-    /// Batched INT8 GEMM, the integer twin of
-    /// [`CimMacro::matvec_digital_fp_batch`]: one blocked conductance
-    /// pass per differential array over the whole drive slab,
-    /// bit-identical to sequential [`CimMacro::matvec_digital_int`]
-    /// calls (the INT ADC draws no runtime noise at all). Falls back
-    /// to the sequential loop when `read_noise_sigma != 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_digital_int_batch(&mut self, batch: &[Vec<(bool, u32)>]) -> Vec<Vec<f64>> {
-        if batch.is_empty() {
-            return Vec::new();
+    /// ADC stage: one readout of one column's divided net current, in
+    /// ADC units, counting saturations and underflows.
+    fn read_column(&mut self, col: usize, i: Amps) -> f64 {
+        if self.spec.mode == MacroMode::Int8 {
+            let r = self.int_adc.convert(i);
+            self.stats.saturations += u64::from(r.overflow);
+            f64::from(r.code)
+        } else {
+            let r = self.fp_adcs[col].convert_noisy(i, &mut self.rng);
+            self.stats.saturations += u64::from(r.overflow);
+            self.stats.underflows += u64::from(r.underflow);
+            r.value()
         }
-        if self.spec.device.read_noise_sigma != 0.0 || batch.len() == 1 {
-            return batch
-                .iter()
-                .map(|acts| self.matvec_digital_int(acts))
-                .collect();
-        }
-        assert_eq!(
-            self.spec.mode,
-            MacroMode::Int8,
-            "matvec_digital_int_batch needs INT8 mode"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let mut drives: Vec<Vec<Volts>> = Vec::with_capacity(batch.len() * 2);
-        let mut meta: Vec<(usize, f64)> = Vec::with_capacity(batch.len() * 2);
-        for (s, activations) in batch.iter().enumerate() {
-            assert_eq!(
-                activations.len(),
-                self.spec.rows,
-                "need one activation per row"
-            );
-            for want_neg in [false, true] {
-                let voltages: Vec<Volts> = activations
-                    .iter()
-                    .map(|&(neg, m)| {
-                        if neg == want_neg {
-                            self.int_dac.convert(m)
-                        } else {
-                            Volts::ZERO
-                        }
-                    })
-                    .collect();
-                if voltages.iter().all(|v| v.volts() == 0.0) {
-                    continue;
-                }
-                drives.push(voltages);
-                meta.push((s, if want_neg { -1.0 } else { 1.0 }));
-            }
-        }
-
-        let t = self.spec.int_adc.t_integrate;
-        let ip = self.pos.mac_currents_batch(&drives);
-        let im = self.neg.mac_currents_batch(&drives);
-        let ep = self.pos.array_energy_batch(&drives, t);
-        let em = self.neg.array_energy_batch(&drives, t);
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(batch.len());
-        let mut k = 0usize;
-        for (s, activations) in batch.iter().enumerate() {
-            let mut net = vec![0.0f64; self.spec.cols];
-            let mut array_energy = Joules::ZERO;
-            let mut phases = 0u32;
-            while k < meta.len() && meta[k].0 == s {
-                let sign = meta[k].1;
-                phases += 1;
-                for (n, (p, m)) in net.iter_mut().zip(ip[k].iter().zip(&im[k])) {
-                    *n += sign * (p.amps() - m.amps());
-                }
-                array_energy += ep[k] + em[k];
-                k += 1;
-            }
-            let mut y = Vec::with_capacity(self.spec.cols);
-            for i_net in &net {
-                let magnitude = Amps::new(i_net.abs() / divider);
-                let r = self.int_adc.convert(magnitude);
-                if r.overflow {
-                    self.stats.saturations += 1;
-                }
-                y.push(f64::from(r.code) * units * i_net.signum());
-            }
-            let active_rows = activations.iter().filter(|&&(_, m)| m > 0).count();
-            self.account(
-                AdcSpec::int(&self.spec.int_adc),
-                active_rows,
-                array_energy,
-                phases.max(1),
-            );
-            out.push(y);
-        }
-        out
     }
 
     fn account(&mut self, adc_spec: AdcSpec, active_rows: usize, array: Joules, phases: u32) {
@@ -846,118 +524,96 @@ impl CimMacro {
             + adc_spec.t_integrate * f64::from(phases.saturating_sub(1));
     }
 
-    /// End-to-end real-valued matrix-vector product: calibrates an
-    /// activation quantizer on `x`, runs the signed differential
-    /// conversion, and rescales the digital result back to real units.
+    /// End-to-end real-valued matrix-vector product: a batch of one
+    /// through [`CimMacro::matvec_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or weights are not programmed.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
-        match self.spec.mode {
-            MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
-                let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
-                self.matvec_with_fp(x, &q)
-            }
-            MacroMode::Int8 => {
-                let q = IntActQuantizer::calibrate(x);
-                self.matvec_with_int(x, &q)
-            }
-        }
+        self.matvec_batch(&[x.to_vec()])
+            .pop()
+            .expect("a batch of one gives one output")
     }
 
-    /// End-to-end batched real-valued GEMM: per-sample quantizer
-    /// calibration (pure, exactly what [`CimMacro::matvec`] does),
-    /// one batched digital GEMM, per-sample rescale. Bit-identical to
-    /// mapping [`CimMacro::matvec`] over `xs` in order.
+    /// The macro's one compute path: signed real-valued matrix-vector
+    /// products for a batch of inputs (see the module docs).
+    ///
+    /// Per sample, an activation quantizer is calibrated on the input
+    /// and the input drives up to two sign phases. The differential
+    /// integrator accumulates `I⁺ − I⁻` with the phase sign, each
+    /// column reads out once, and the digital result is rescaled to
+    /// real units. Energy, busy time and readout counts are accounted
+    /// per sample, in sample order, so a batch is bit-identical to the
+    /// same samples sent one at a time.
     ///
     /// # Panics
     ///
-    /// Panics if a sample length mismatches or weights are not
+    /// Panics if a sample length differs from `rows` or weights are not
     /// programmed.
     pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        match self.spec.mode {
-            MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
-                let qs: Vec<FpActQuantizer> = xs
-                    .iter()
-                    .map(|x| FpActQuantizer::calibrate(x, self.spec.fp_dac.format))
-                    .collect();
-                let acts: Vec<Vec<SignedActivation>> = xs
-                    .iter()
-                    .zip(&qs)
-                    .map(|(x, q)| q.quantize_slice(x))
-                    .collect();
-                let digital = self.matvec_digital_fp_batch(&acts);
-                let w_scale = self.mapped_weights().scale;
-                digital
-                    .into_iter()
-                    .zip(&qs)
-                    .map(|(d, q)| {
-                        d.into_iter()
-                            .map(|v| v as f32 * q.scale * w_scale)
-                            .collect()
+        let mut drives = Vec::with_capacity(2 * xs.len());
+        let samples: Vec<Sample> = xs.iter().map(|x| self.drive_rows(x, &mut drives)).collect();
+        let w_scale = self.mapped_weights().scale;
+        let adc_spec = match self.spec.mode {
+            MacroMode::FpE2M5 | MacroMode::FpE3M4 => AdcSpec::fp(&self.spec.fp_adc),
+            MacroMode::Int8 => AdcSpec::int(&self.spec.int_adc),
+        };
+        let units = self.digital_units_per_adc_unit();
+        let divider = self.current_divider;
+        let noisy = self.spec.device.read_noise_sigma != 0.0;
+        let group = if noisy { 1 } else { samples.len().max(1) };
+
+        let mut out = Vec::with_capacity(xs.len());
+        for chunk in samples.chunks(group) {
+            let base = chunk[0].drives.start;
+            let slab = &drives[base..chunk[chunk.len() - 1].drives.end];
+            let (ip, im): (Vec<Vec<Amps>>, Vec<Vec<Amps>>) = if noisy {
+                slab.iter()
+                    .map(|v| {
+                        (
+                            self.pos.mac_currents_noisy(v, &mut self.rng),
+                            self.neg.mac_currents_noisy(v, &mut self.rng),
+                        )
                     })
-                    .collect()
-            }
-            MacroMode::Int8 => {
-                let qs: Vec<IntActQuantizer> =
-                    xs.iter().map(|x| IntActQuantizer::calibrate(x)).collect();
-                let acts: Vec<Vec<(bool, u32)>> = xs
+                    .unzip()
+            } else {
+                (
+                    self.pos.mac_currents_batch(slab),
+                    self.neg.mac_currents_batch(slab),
+                )
+            };
+            let ep = self.pos.array_energy_batch(slab, adc_spec.t_integrate);
+            let em = self.neg.array_energy_batch(slab, adc_spec.t_integrate);
+            for sample in chunk {
+                let mut net = vec![0.0f64; self.spec.cols]; // amps, signed
+                let mut array_energy = Joules::ZERO;
+                for (k, sign) in sample.drives.clone().zip(sample.signs) {
+                    let j = k - base;
+                    for (n, (p, m)) in net.iter_mut().zip(ip[j].iter().zip(&im[j])) {
+                        *n += sign * (p.amps() - m.amps());
+                    }
+                    array_energy += ep[j] + em[j];
+                }
+                let y = net
                     .iter()
-                    .zip(&qs)
-                    .map(|(x, q)| x.iter().map(|&v| q.quantize(v)).collect())
-                    .collect();
-                let digital = self.matvec_digital_int_batch(&acts);
-                let w_scale = self.mapped_weights().scale;
-                digital
-                    .into_iter()
-                    .zip(&qs)
-                    .map(|(d, q)| {
-                        let a_scale = q.inner().scale();
-                        d.into_iter()
-                            .map(|v| v as f32 * a_scale * w_scale)
-                            .collect()
+                    .enumerate()
+                    .map(|(col, i_net)| {
+                        let level = self.read_column(col, Amps::new(i_net.abs() / divider));
+                        (level * units * i_net.signum()) as f32 * sample.a_scale * w_scale
                     })
-                    .collect()
+                    .collect();
+                let phases = u32::try_from(sample.drives.len()).expect("at most two phases");
+                self.account(adc_spec, sample.active_rows, array_energy, phases.max(1));
+                out.push(y);
             }
         }
-    }
-
-    /// FP matrix-vector product with an explicit (pre-calibrated)
-    /// activation quantizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode or preconditions fail.
-    pub fn matvec_with_fp(&mut self, x: &[f32], q: &FpActQuantizer) -> Vec<f32> {
-        let acts = q.quantize_slice(x);
-        let digital = self.matvec_digital_fp(&acts);
-        let w_scale = self.mapped_weights().scale;
-        digital
-            .into_iter()
-            .map(|d| d as f32 * q.scale * w_scale)
-            .collect()
-    }
-
-    /// INT8 matrix-vector product with an explicit quantizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_with_int(&mut self, x: &[f32], q: &IntActQuantizer) -> Vec<f32> {
-        let acts: Vec<(bool, u32)> = x.iter().map(|&v| q.quantize(v)).collect();
-        let digital = self.matvec_digital_int(&acts);
-        let w_scale = self.mapped_weights().scale;
-        let a_scale = q.inner().scale();
-        digital
-            .into_iter()
-            .map(|d| d as f32 * a_scale * w_scale)
-            .collect()
+        out
     }
 
     /// The exact digital reference MAC (`Σ a_i w_ij` from the quantized
-    /// codes, no analog effects) — what an error-free macro would
-    /// return from [`CimMacro::matvec_digital_fp`].
+    /// codes, no analog effects) — what an error-free macro would read
+    /// out before rescaling to real units.
     ///
     /// # Panics
     ///
@@ -981,6 +637,203 @@ impl CimMacro {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The sequential per-sample FP and INT MACs that the one compute
+    //! path replaced, kept verbatim as its bit-identity oracle.
+
+    use super::*;
+
+    impl CimMacro {
+        /// Sequential [`CimMacro::matvec`]: quantize, one MAC, rescale.
+        pub(super) fn matvec_reference(&mut self, x: &[f32]) -> Vec<f32> {
+            let (digital, a_scale) = match self.spec.mode {
+                MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
+                    let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
+                    (self.matvec_digital_fp(&q.quantize_slice(x)), q.scale)
+                }
+                MacroMode::Int8 => {
+                    let q = IntActQuantizer::calibrate(x);
+                    let acts: Vec<(bool, u32)> = x.iter().map(|&v| q.quantize(v)).collect();
+                    (self.matvec_digital_int(&acts), q.inner().scale())
+                }
+            };
+            let w_scale = self.mapped_weights().scale;
+            digital
+                .into_iter()
+                .map(|d| d as f32 * a_scale * w_scale)
+                .collect()
+        }
+
+        /// DAC stage for one FP drive vector: shared mantissa ladder,
+        /// per-row PGA.
+        fn fp_voltages(&self, drive: &[Option<HwFpCode>]) -> Vec<Volts> {
+            drive
+                .iter()
+                .enumerate()
+                .map(|(r, code)| match code {
+                    Some(c) => Volts::new(
+                        self.row_pgas[r]
+                            .apply(c.exp(), self.fp_dac.mantissa_voltage(c.man()).volts()),
+                    ),
+                    None => Volts::ZERO,
+                })
+                .collect()
+        }
+
+        /// Signed FP matrix-vector product in *digital* units
+        /// (`Σ a_i w_ij`): differential charge accumulation over up to two
+        /// input-sign phases, one magnitude readout per column.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the macro is in INT8 mode, lengths mismatch, or
+        /// weights are not programmed.
+        pub fn matvec_digital_fp(&mut self, activations: &[SignedActivation]) -> Vec<f64> {
+            assert!(
+                self.spec.mode.fp_format().is_some(),
+                "matvec_digital_fp needs an FP mode"
+            );
+            assert_eq!(
+                activations.len(),
+                self.spec.rows,
+                "need one activation per row"
+            );
+            assert!(self.mapped.is_some(), "weights must be programmed first");
+
+            let pos_drive: Vec<Option<HwFpCode>> = activations
+                .iter()
+                .map(|a| if a.negative { None } else { a.code })
+                .collect();
+            let neg_drive: Vec<Option<HwFpCode>> = activations
+                .iter()
+                .map(|a| if a.negative { a.code } else { None })
+                .collect();
+
+            let mut net = vec![0.0f64; self.spec.cols]; // amps, signed
+            let mut array_energy = Joules::ZERO;
+            let mut phases = 0u32;
+            for (drive, sign) in [(&pos_drive, 1.0f64), (&neg_drive, -1.0f64)] {
+                if drive.iter().all(Option::is_none) {
+                    continue;
+                }
+                phases += 1;
+                let voltages = self.fp_voltages(drive);
+                // Differential pair shares the word line: one DAC drive
+                // feeds both polarities; integrator accumulates I⁺ − I⁻
+                // with the phase sign.
+                let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
+                let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
+                for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
+                    *n += sign * (p.amps() - m.amps());
+                }
+                array_energy += self
+                    .pos
+                    .array_energy(&voltages, self.spec.fp_adc.t_integrate)
+                    + self
+                        .neg
+                        .array_energy(&voltages, self.spec.fp_adc.t_integrate);
+            }
+
+            let units = self.digital_units_per_adc_unit();
+            let divider = self.current_divider;
+            let mut out = Vec::with_capacity(self.spec.cols);
+            for (col, i_net) in net.iter().enumerate() {
+                let magnitude = Amps::new(i_net.abs() / divider);
+                let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
+                if r.overflow {
+                    self.stats.saturations += 1;
+                }
+                if r.underflow {
+                    self.stats.underflows += 1;
+                }
+                out.push(r.value() * units * i_net.signum());
+            }
+
+            let active_rows = activations.iter().filter(|a| a.code.is_some()).count();
+            self.account(
+                AdcSpec::fp(&self.spec.fp_adc),
+                active_rows,
+                array_energy,
+                phases.max(1),
+            );
+            out
+        }
+
+        /// Signed INT8 matrix-vector product in digital units (activation
+        /// magnitudes `0..=255` with sign flags).
+        ///
+        /// # Panics
+        ///
+        /// Panics if the macro is not in INT8 mode or preconditions fail.
+        pub fn matvec_digital_int(&mut self, activations: &[(bool, u32)]) -> Vec<f64> {
+            assert_eq!(
+                self.spec.mode,
+                MacroMode::Int8,
+                "matvec_digital_int needs INT8 mode"
+            );
+            assert_eq!(
+                activations.len(),
+                self.spec.rows,
+                "need one activation per row"
+            );
+            assert!(self.mapped.is_some(), "weights must be programmed first");
+
+            let mut net = vec![0.0f64; self.spec.cols];
+            let mut array_energy = Joules::ZERO;
+            let mut phases = 0u32;
+            for (want_neg, sign) in [(false, 1.0f64), (true, -1.0f64)] {
+                let voltages: Vec<Volts> = activations
+                    .iter()
+                    .map(|&(neg, m)| {
+                        if neg == want_neg {
+                            self.int_dac.convert(m)
+                        } else {
+                            Volts::ZERO
+                        }
+                    })
+                    .collect();
+                if voltages.iter().all(|v| v.volts() == 0.0) {
+                    continue;
+                }
+                phases += 1;
+                let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
+                let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
+                for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
+                    *n += sign * (p.amps() - m.amps());
+                }
+                array_energy += self
+                    .pos
+                    .array_energy(&voltages, self.spec.int_adc.t_integrate)
+                    + self
+                        .neg
+                        .array_energy(&voltages, self.spec.int_adc.t_integrate);
+            }
+
+            let units = self.digital_units_per_adc_unit();
+            let divider = self.current_divider;
+            let mut out = Vec::with_capacity(self.spec.cols);
+            for i_net in &net {
+                let magnitude = Amps::new(i_net.abs() / divider);
+                let r = self.int_adc.convert(magnitude);
+                if r.overflow {
+                    self.stats.saturations += 1;
+                }
+                out.push(f64::from(r.code) * units * i_net.signum());
+            }
+
+            let active_rows = activations.iter().filter(|&&(_, m)| m > 0).count();
+            self.account(
+                AdcSpec::int(&self.spec.int_adc),
+                active_rows,
+                array_energy,
+                phases.max(1),
+            );
+            out
+        }
     }
 }
 
@@ -1023,16 +876,20 @@ mod tests {
     fn ideal_matvec_matches_digital_reference() {
         let mut mac = small_fp(16, 4);
         mac.program_weights(&ramp_weights(16, 4));
-        let fmt = FpFormat::E2M5;
-        let acts: Vec<SignedActivation> = (0..16)
-            .map(|k| SignedActivation {
-                negative: k % 3 == 0,
-                code: Some(HwFpCode::new(fmt, 1, (k * 2) % 32).unwrap()),
-            })
+        let x: Vec<f32> = (0..16)
+            .map(|k| (1.0 + ((k * 2) % 32) as f32 / 32.0) * if k % 3 == 0 { -1.0 } else { 1.0 })
             .collect();
+        // The codes `matvec` drives: its quantizer calibrates on `x`.
+        let q = FpActQuantizer::calibrate(&x, FpFormat::E2M5);
+        let acts = q.quantize_slice(&x);
         mac.calibrate_range(std::slice::from_ref(&acts));
         let reference = mac.digital_reference_fp(&acts);
-        let measured = mac.matvec_digital_fp(&acts);
+        let to_digital = f64::from(q.scale) * f64::from(mac.mapped_weights().scale);
+        let measured: Vec<f64> = mac
+            .matvec(&x)
+            .iter()
+            .map(|&y| f64::from(y) / to_digital)
+            .collect();
         for (c, (m, r)) in measured.iter().zip(&reference).enumerate() {
             if r.abs() < mac.digital_min_readable() {
                 assert_eq!(*m, 0.0, "col {c} should flush to zero");
@@ -1060,7 +917,7 @@ mod tests {
         // Data-driven range placement, as a PTQ flow would do.
         let q = FpActQuantizer::calibrate(&x, FpFormat::E2M5);
         mac.calibrate_range(&[q.quantize_slice(&x)]);
-        let y = mac.matvec_with_fp(&x, &q);
+        let y = mac.matvec(&x);
         let mut want = [0.0f32; 4];
         for r in 0..32 {
             for c in 0..4 {
@@ -1146,20 +1003,6 @@ mod tests {
         // Wide range (placed for column 0) makes column 1 underflow.
         let _ = mac.matvec(&[1.0, 0.0, 0.0, 0.0]);
         assert!(mac.stats().underflows > 0);
-    }
-
-    #[test]
-    fn compute_phase_raw_unsigned() {
-        let mut mac = small_fp(4, 2);
-        mac.program_weights(&[0.5, 0.25, 1.0, 0.75, 0.5, 0.25, 1.0, 0.75]);
-        let fmt = FpFormat::E2M5;
-        let drive: Vec<Option<HwFpCode>> = (0..4)
-            .map(|k| Some(HwFpCode::new(fmt, 0, k * 4).unwrap()))
-            .collect();
-        let out = mac.compute_phase_fp(&drive, WeightPolarity::Positive);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|v| *v >= 0.0));
-        assert_eq!(mac.stats().conversions, 1);
     }
 
     #[test]
@@ -1299,6 +1142,65 @@ mod tests {
         let batched = mac.matvec_batch(&xs);
         let sequential: Vec<Vec<f32>> = xs.iter().map(|x| twin.matvec(x)).collect();
         assert_eq!(batched, sequential);
+    }
+
+    #[test]
+    fn one_path_is_bit_identical_to_the_sequential_reference() {
+        for mode in [MacroMode::FpE2M5, MacroMode::FpE3M4, MacroMode::Int8] {
+            let mut drifted = MacroSpec::small(16, 5, mode).with_spare_cols(1);
+            drifted.device.drift_nu = 0.01;
+            let noisy = MacroSpec {
+                rows: 16,
+                cols: 5,
+                ..MacroSpec::paper_realistic(mode)
+            };
+            let specs = [
+                ("ideal", MacroSpec::small(16, 5, mode)),
+                ("drift + remap", drifted),
+                ("read noise", noisy),
+            ];
+            for (name, spec) in specs {
+                let mut mac = CimMacro::with_seed(spec, 42);
+                mac.program_weights(&ramp_weights(16, 5));
+                if name == "drift + remap" {
+                    mac.set_age(afpr_circuit::units::Seconds::new(1.0e5));
+                    let mut rng = StdRng::seed_from_u64(3);
+                    mac.pos.remap_column(2, &mut rng).expect("one spare");
+                }
+                let mut twin = mac.clone();
+                // Batches run back to back on one clone pair, so a
+                // diverged RNG stream shows up in the next batch.
+                for batch in [1, 2, 7] {
+                    // Mixed-sign, all-positive and all-zero samples:
+                    // two, one and no live sign phases.
+                    let xs: Vec<Vec<f32>> = (0..batch)
+                        .map(|s| {
+                            (0..16)
+                                .map(|r| match s % 3 {
+                                    0 => (r as f32 * 0.31 + s as f32 * 0.7).sin(),
+                                    1 => 0.1 + r as f32 * 0.05,
+                                    _ => 0.0,
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let got = mac.matvec_batch(&xs);
+                    let want: Vec<Vec<f32>> = xs.iter().map(|x| twin.matvec_reference(x)).collect();
+                    let bits = |ys: &[Vec<f32>]| -> Vec<u32> {
+                        ys.iter().flatten().map(|v| v.to_bits()).collect()
+                    };
+                    let what = format!("{mode:?} {name} batch {batch}");
+                    assert_eq!(bits(&got), bits(&want), "{what}: outputs");
+                    // `Debug` prints every float exactly, so equal text
+                    // is every stats and energy field equal bit for bit.
+                    assert_eq!(
+                        format!("{:?}", mac.stats()),
+                        format!("{:?}", twin.stats()),
+                        "{what}: stats"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -438,11 +438,9 @@ impl Crossbar {
         Amps::new(i)
     }
 
-    /// All source-line currents at once (one macro operation).
-    ///
-    /// Reads multiply-accumulate terms out of the conductance-snapshot
-    /// kernel ([`Crossbar::conductance_snapshot`]); bit-identical to
-    /// [`Crossbar::mac_currents_uncached`] by the snapshot's
+    /// All source-line currents at once (one macro operation): a batch
+    /// of one through [`Crossbar::mac_currents_batch`], so bit-identical
+    /// to [`Crossbar::mac_currents_uncached`] by the snapshot's
     /// construction contract.
     ///
     /// # Panics
@@ -450,12 +448,9 @@ impl Crossbar {
     /// Panics if `v_inputs.len() != rows`.
     #[must_use]
     pub fn mac_currents(&self, v_inputs: &[Volts]) -> Vec<Amps> {
-        assert_eq!(v_inputs.len(), self.rows, "need one voltage per row");
-        let snap = self.conductance_snapshot();
-        let v: Vec<f64> = v_inputs.iter().map(|v| v.volts()).collect();
-        let mut out = vec![0.0f64; self.cols];
-        snap.mac_into(&v, &mut out);
-        out.into_iter().map(Amps::new).collect()
+        self.mac_currents_batch(&[v_inputs.to_vec()])
+            .pop()
+            .expect("a batch of one gives one output")
     }
 
     /// Batched MAC: all source-line currents for a micro-batch of
@@ -479,12 +474,8 @@ impl Crossbar {
         for v in v_batch {
             assert_eq!(v.len(), self.rows, "need one voltage per row");
         }
-        let snap = self.conductance_snapshot();
-        let vs: Vec<Vec<f64>> = v_batch
-            .iter()
-            .map(|v| v.iter().map(|x| x.volts()).collect())
-            .collect();
-        snap.mac_batch(&vs)
+        self.conductance_snapshot()
+            .mac_batch(v_batch)
             .into_iter()
             .map(|cols| cols.into_iter().map(Amps::new).collect())
             .collect()
@@ -569,19 +560,16 @@ impl Crossbar {
     }
 
     /// Energy dissipated in the array during one integration window:
-    /// `Σ V_i² · G_ij · T` (the source line sits at virtual ground).
+    /// `Σ V_i² · G_ij · T` (the source line sits at virtual ground). A
+    /// batch of one through [`Crossbar::array_energy_batch`].
     #[must_use]
     pub fn array_energy(&self, v_inputs: &[Volts], t_integrate: Seconds) -> Joules {
-        assert_eq!(v_inputs.len(), self.rows, "need one voltage per row");
-        let snap = self.conductance_snapshot();
-        let v2: Vec<f64> = v_inputs.iter().map(|v| v.volts() * v.volts()).collect();
-        Joules::new(snap.weighted_cell_sum(&v2) * t_integrate.seconds())
+        self.array_energy_batch(&[v_inputs.to_vec()], t_integrate)[0]
     }
 
-    /// Batched [`Crossbar::array_energy`]: integration-window energies
-    /// for a micro-batch of drive vectors with each conductance row
-    /// loaded once per batch. Per sample bit-identical to the
-    /// single-vector method (same `(r, c)` scalar accumulation order).
+    /// Integration-window energies for a micro-batch of drive vectors,
+    /// each sample summed in `(r, c)` order into its own scalar
+    /// accumulator.
     ///
     /// # Panics
     ///
@@ -591,12 +579,8 @@ impl Crossbar {
         for v in v_batch {
             assert_eq!(v.len(), self.rows, "need one voltage per row");
         }
-        let snap = self.conductance_snapshot();
-        let v2s: Vec<Vec<f64>> = v_batch
-            .iter()
-            .map(|v| v.iter().map(|x| x.volts() * x.volts()).collect())
-            .collect();
-        snap.weighted_cell_sum_batch(&v2s)
+        self.conductance_snapshot()
+            .power_batch(v_batch)
             .into_iter()
             .map(|p| Joules::new(p * t_integrate.seconds()))
             .collect()

@@ -13,16 +13,17 @@
 //! f64 lane groups. The layout buys two things the old row-major flat
 //! snapshot could not:
 //!
-//! * **Register accumulation.** [`ConductanceKernel::mac_into`] walks
-//!   one panel at a time with a `[f64; PANEL]` accumulator that lives
-//!   in vector registers for the whole row sweep (eight 4-wide or four
-//!   8-wide hardware accumulators — independent dependency chains the
-//!   autovectorizer can schedule), instead of a load/add/store against
-//!   the output vector for every `(row, column)` pair.
-//! * **Batch amortization.** [`ConductanceKernel::mac_batch`] streams
-//!   each panel row — one cache line of conductances — exactly once
-//!   per *batch* of input vectors, so a micro-batch of B matvecs pays
-//!   one pass over the conductance matrix instead of B.
+//! * **Register accumulation.** [`ConductanceKernel::mac_batch`]
+//!   walks one panel at a time with a `[f64; PANEL]` accumulator per
+//!   input vector that lives in vector registers for the whole row
+//!   sweep (eight 4-wide or four 8-wide hardware accumulators —
+//!   independent dependency chains the autovectorizer can schedule),
+//!   instead of a load/add/store against the output vector for every
+//!   `(row, column)` pair.
+//! * **Batch amortization.** It streams each panel row — one cache
+//!   line of conductances — exactly once per *batch* of input vectors,
+//!   so a micro-batch of B matvecs pays one pass over the conductance
+//!   matrix instead of B. A single vector is a batch of one.
 //!
 //! # Bit-identity contract
 //!
@@ -41,6 +42,8 @@
 //! accumulator lanes are never copied out, so padding cannot leak into
 //! results.
 
+use afpr_circuit::units::Volts;
+
 /// Width of one hardware accumulator lane group (f64 elements).
 pub const LANES: usize = 8;
 
@@ -54,16 +57,15 @@ pub const PANEL: usize = 4 * LANES;
 /// order with the `v[r] == 0` skip, accumulated in a register-resident
 /// `[f64; PANEL]`.
 ///
-/// This is **the** inner loop of both the single-vector and the
-/// batched MAC: `#[inline(never)]` pins one vectorized instantiation
-/// that every caller shares, so the batch path cannot silently fall
-/// off the fast codegen the single-vector path gets (and per-column
-/// float-op order is trivially identical across paths, which the
-/// bit-identity contract relies on).
+/// This is **the** inner loop of the MAC: `#[inline(never)]` pins one
+/// vectorized instantiation, so per-column float-op order is the same
+/// for every sample of every batch, which the bit-identity contract
+/// relies on.
 #[inline(never)]
-fn sweep_panel(panel: &[f64], v: &[f64]) -> [f64; PANEL] {
+fn sweep_panel(panel: &[f64], v: &[Volts]) -> [f64; PANEL] {
     let mut acc = [0.0f64; PANEL];
-    for (g, &vr) in panel.chunks_exact(PANEL).zip(v) {
+    for (g, vr) in panel.chunks_exact(PANEL).zip(v) {
+        let vr = vr.volts();
         if vr == 0.0 {
             continue;
         }
@@ -166,27 +168,6 @@ impl ConductanceKernel {
         self.data[(c / PANEL) * self.rows * PANEL + r * PANEL + (c % PANEL)]
     }
 
-    /// Single-vector MAC: `out[c] = Σ_r v[r] · G_eff(r, c)`.
-    ///
-    /// Panel-outer / row-inner with a register-resident `[f64; PANEL]`
-    /// accumulator; per column the accumulation order is identical to
-    /// the row-major reference loop (see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != rows` or `out.len() != cols`.
-    pub fn mac_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.rows, "need one input per row");
-        assert_eq!(out.len(), self.cols, "need one output per column");
-        let stride = self.rows * PANEL;
-        for p in 0..self.panels {
-            let acc = sweep_panel(&self.data[p * stride..(p + 1) * stride], v);
-            let c0 = p * PANEL;
-            let n = PANEL.min(self.cols - c0);
-            out[c0..c0 + n].copy_from_slice(&acc[..n]);
-        }
-    }
-
     /// Batched GEMM: one panel-blocked pass over the conductance
     /// matrix computes `outs[s][c] = Σ_r vs[s][r] · G_eff(r, c)` for
     /// every sample `s`.
@@ -196,16 +177,15 @@ impl ConductanceKernel {
     /// whole batch back-to-back: the conductance matrix crosses the
     /// last-level cache once per *batch* instead of once per sample,
     /// while each sample's `[f64; PANEL]` accumulator stays in vector
-    /// registers exactly as in [`mac_into`](Self::mac_into). Every
-    /// `(sample, column)` pair therefore sees the identical float-op
-    /// sequence of a standalone `mac_into` call — batched results are
-    /// **bit-identical** to B sequential MACs.
+    /// registers. Every `(sample, column)` pair accumulates in the
+    /// row order of the row-major reference loop, so batched results
+    /// are **bit-identical** to B batches of one.
     ///
     /// # Panics
     ///
     /// Panics if any `vs[s].len() != rows`.
     #[must_use]
-    pub fn mac_batch(&self, vs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub fn mac_batch(&self, vs: &[Vec<Volts>]) -> Vec<Vec<f64>> {
         for v in vs {
             assert_eq!(v.len(), self.rows, "need one input per row");
         }
@@ -223,69 +203,39 @@ impl ConductanceKernel {
         outs
     }
 
-    /// Row-weighted sum over every cell:
-    /// `Σ_r Σ_c w_rows[r] · G_eff(r, c)` accumulated in row-major
-    /// `(r, c)` order with the `w_rows[r] == 0` skip — the exact
-    /// float-op sequence of the historical `array_energy` loop (the
-    /// scalar accumulator makes the order load-bearing). Padding lanes
-    /// are skipped, never summed.
+    /// Array power under each drive vector, one per sample:
+    /// `Σ_r Σ_c V_s[r]² · G_eff(r, c)` accumulated in row-major
+    /// `(r, c)` order with the `V_s[r]² == 0` skip — the exact float-op
+    /// sequence of the historical `array_energy` loop (the scalar
+    /// accumulator makes the order load-bearing). Zero rows are skipped
+    /// whole, and padding lanes are never summed.
     ///
     /// # Panics
     ///
-    /// Panics if `w_rows.len() != rows`.
+    /// Panics if any `vs[s].len() != rows`.
     #[must_use]
-    pub fn weighted_cell_sum(&self, w_rows: &[f64]) -> f64 {
-        assert_eq!(w_rows.len(), self.rows, "need one weight per row");
+    pub fn power_batch(&self, vs: &[Vec<Volts>]) -> Vec<f64> {
         let stride = self.rows * PANEL;
-        let mut total = 0.0f64;
-        for (r, &wr) in w_rows.iter().enumerate() {
-            if wr == 0.0 {
-                continue;
-            }
-            for p in 0..self.panels {
-                let n = PANEL.min(self.cols - p * PANEL);
-                let g = &self.data[p * stride + r * PANEL..p * stride + r * PANEL + n];
-                for gi in g {
-                    total += wr * gi;
-                }
-            }
-        }
-        total
-    }
-
-    /// Batched [`weighted_cell_sum`](Self::weighted_cell_sum): each
-    /// panel row is loaded once per batch, each sample keeps its own
-    /// scalar accumulator in `(r, c)` order — per sample bit-identical
-    /// to the single-vector method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `w_rows[s].len() != rows`.
-    #[must_use]
-    pub fn weighted_cell_sum_batch(&self, w_rows: &[Vec<f64>]) -> Vec<f64> {
-        for w in w_rows {
-            assert_eq!(w.len(), self.rows, "need one weight per row");
-        }
-        let stride = self.rows * PANEL;
-        let mut totals = vec![0.0f64; w_rows.len()];
-        for r in 0..self.rows {
-            for p in 0..self.panels {
-                let n = PANEL.min(self.cols - p * PANEL);
-                let g = &self.data[p * stride + r * PANEL..p * stride + r * PANEL + n];
-                for (total, w) in totals.iter_mut().zip(w_rows) {
-                    let wr = w[r];
+        vs.iter()
+            .map(|v| {
+                assert_eq!(v.len(), self.rows, "need one input per row");
+                let mut total = 0.0f64;
+                for (r, vr) in v.iter().enumerate() {
+                    let wr = vr.volts() * vr.volts();
                     if wr == 0.0 {
                         continue;
                     }
-                    let mut t = *total;
-                    for gi in g {
-                        t += wr * gi;
+                    for p in 0..self.panels {
+                        let n = PANEL.min(self.cols - p * PANEL);
+                        let g = &self.data[p * stride + r * PANEL..p * stride + r * PANEL + n];
+                        for gi in g {
+                            total += wr * gi;
+                        }
                     }
-                    *total = t;
                 }
-            }
-        }
-        totals
+                total
+            })
+            .collect()
     }
 
     /// Sum of one column's effective conductances, accumulated in
@@ -313,9 +263,10 @@ mod tests {
     }
 
     /// The historical row-major reference MAC.
-    fn reference_mac(cols: usize, v: &[f64]) -> Vec<f64> {
+    fn reference_mac(cols: usize, v: &[Volts]) -> Vec<f64> {
         let mut out = vec![0.0f64; cols];
-        for (r, &vr) in v.iter().enumerate() {
+        for (r, vr) in v.iter().enumerate() {
+            let vr = vr.volts();
             if vr == 0.0 {
                 continue;
             }
@@ -326,14 +277,14 @@ mod tests {
         out
     }
 
-    fn input(rows: usize, salt: usize) -> Vec<f64> {
+    fn input(rows: usize, salt: usize) -> Vec<Volts> {
         (0..rows)
             .map(|r| {
-                if (r + salt).is_multiple_of(5) {
+                Volts::new(if (r + salt).is_multiple_of(5) {
                     0.0 // exercise the zero-row skip
                 } else {
                     0.01 * ((r * 13 + salt * 29) % 11) as f64 - 0.03
-                }
+                })
             })
             .collect()
     }
@@ -361,8 +312,7 @@ mod tests {
         ] {
             let k = ConductanceKernel::build(rows, cols, g);
             let v = input(rows, cols);
-            let mut out = vec![0.0f64; cols];
-            k.mac_into(&v, &mut out);
+            let out = &k.mac_batch(std::slice::from_ref(&v))[0];
             let want = reference_mac(cols, &v);
             for c in 0..cols {
                 assert_eq!(out[c].to_bits(), want[c].to_bits(), "{rows}x{cols} col {c}");
@@ -375,12 +325,11 @@ mod tests {
         let (rows, cols) = (19, PANEL + 9);
         let k = ConductanceKernel::build(rows, cols, g);
         for b in [0usize, 1, 2, 5, 16] {
-            let vs: Vec<Vec<f64>> = (0..b).map(|s| input(rows, s)).collect();
+            let vs: Vec<Vec<Volts>> = (0..b).map(|s| input(rows, s)).collect();
             let got = k.mac_batch(&vs);
             assert_eq!(got.len(), b);
             for (s, v) in vs.iter().enumerate() {
-                let mut want = vec![0.0f64; cols];
-                k.mac_into(v, &mut want);
+                let want = &k.mac_batch(std::slice::from_ref(v))[0];
                 for c in 0..cols {
                     assert_eq!(
                         got[s][c].to_bits(),
@@ -401,12 +350,13 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_matches_scalar_reference_bitwise() {
+    fn power_matches_scalar_reference_bitwise() {
         let (rows, cols) = (11, PANEL * 2 + 1);
         let k = ConductanceKernel::build(rows, cols, g);
-        let w = input(rows, 3);
+        let v = input(rows, 3);
         let mut want = 0.0f64;
-        for (r, &wr) in w.iter().enumerate() {
+        for (r, vr) in v.iter().enumerate() {
+            let wr = vr.volts() * vr.volts();
             if wr == 0.0 {
                 continue;
             }
@@ -414,14 +364,15 @@ mod tests {
                 want += wr * g(r, c);
             }
         }
-        assert_eq!(k.weighted_cell_sum(&w).to_bits(), want.to_bits());
-        // Batched variant: per sample bit-identical to single calls.
-        let ws: Vec<Vec<f64>> = (0..4).map(|s| input(rows, s)).collect();
-        let batch = k.weighted_cell_sum_batch(&ws);
-        for (s, w) in ws.iter().enumerate() {
+        let one = k.power_batch(std::slice::from_ref(&v));
+        assert_eq!(one[0].to_bits(), want.to_bits());
+        // A larger batch: per sample bit-identical to batches of one.
+        let vs: Vec<Vec<Volts>> = (0..4).map(|s| input(rows, s)).collect();
+        let batch = k.power_batch(&vs);
+        for (s, v) in vs.iter().enumerate() {
             assert_eq!(
                 batch[s].to_bits(),
-                k.weighted_cell_sum(w).to_bits(),
+                k.power_batch(std::slice::from_ref(v))[0].to_bits(),
                 "sample {s}"
             );
         }
@@ -442,27 +393,13 @@ mod tests {
         // cols = 1: 31 padding lanes in the only panel. A negative
         // input would poison results through padding if it leaked.
         let k = ConductanceKernel::build(4, 1, g);
-        let v = vec![-0.5, 0.25, -1.0, 2.0];
-        let mut out = vec![0.0f64; 1];
-        k.mac_into(&v, &mut out);
-        let want: f64 =
-            v.iter().enumerate().fold(
-                0.0,
-                |acc, (r, &vr)| {
-                    if vr == 0.0 {
-                        acc
-                    } else {
-                        acc + vr * g(r, 0)
-                    }
-                },
-            );
-        assert_eq!(out[0].to_bits(), want.to_bits());
-        assert_eq!(k.weighted_cell_sum(&v).to_bits(), {
+        let v: Vec<Volts> = [-0.5, 0.25, -1.0, 2.0].map(Volts::new).to_vec();
+        let out = &k.mac_batch(std::slice::from_ref(&v))[0];
+        assert_eq!(out[0].to_bits(), reference_mac(1, &v)[0].to_bits());
+        assert_eq!(k.power_batch(std::slice::from_ref(&v))[0].to_bits(), {
             let mut p = 0.0f64;
-            for (r, &vr) in v.iter().enumerate() {
-                if vr != 0.0 {
-                    p += vr * g(r, 0);
-                }
+            for (r, vr) in v.iter().enumerate() {
+                p += vr.volts() * vr.volts() * g(r, 0);
             }
             p.to_bits()
         });
@@ -472,7 +409,6 @@ mod tests {
     #[should_panic(expected = "one input per row")]
     fn wrong_input_length_panics() {
         let k = ConductanceKernel::build(4, 2, g);
-        let mut out = vec![0.0f64; 2];
-        k.mac_into(&[0.0; 3], &mut out);
+        let _ = k.mac_batch(&[vec![Volts::ZERO; 3]]);
     }
 }

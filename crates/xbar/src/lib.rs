@@ -8,6 +8,12 @@
 //! FP8 codes. Differential weight arrays and sign-split input phases
 //! extend the unsigned physics to signed arithmetic.
 //!
+//! The macro has one compute path, [`CimMacro::matvec_batch`]: a batch
+//! of inputs goes through the DACs, one blocked conductance pass per
+//! polarity array ([`Crossbar::mac_currents_batch`] over the
+//! [`ConductanceKernel`]) and one ADC readout per column.
+//! [`CimMacro::matvec`] is a batch of one.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +41,7 @@ pub mod quant;
 pub mod spec;
 
 pub use chaos::{GuardConfig, ScrubReport};
-pub use cim_macro::{CimMacro, WeightPolarity};
+pub use cim_macro::CimMacro;
 pub use crossbar::{ConductanceSnapshot, Crossbar, OutOfSpares};
 pub use ir_drop::IrDropModel;
 pub use kernel::ConductanceKernel;

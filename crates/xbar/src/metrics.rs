@@ -21,14 +21,15 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct MacroStats {
-    /// Physical conversions performed (one per phase).
+    /// Macro operations performed: one per matvec, whatever its sign
+    /// phases (a mixed-sign input integrates twice but reads out once).
     pub conversions: u64,
     /// MAC operations performed (dense count: `2 × rows × cols` per
     /// conversion).
     pub ops: u64,
-    /// ADC saturations observed.
+    /// Column readouts that saturated.
     pub saturations: u64,
-    /// ADC underflows observed ("not read out").
+    /// Column readouts that underflowed ("not read out").
     pub underflows: u64,
     /// Accumulated energy by module.
     pub energy: MacroEnergyBreakdown,
@@ -75,15 +76,6 @@ impl MacroStats {
         }
         self.ops as f64 / e / 1e12
     }
-
-    /// Fraction of conversions that saturated.
-    #[must_use]
-    pub fn saturation_rate(&self) -> f64 {
-        if self.conversions == 0 {
-            return 0.0;
-        }
-        self.saturations as f64 / self.conversions as f64
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +88,6 @@ mod tests {
         assert_eq!(s.throughput_gops(), 0.0);
         assert_eq!(s.tops_per_watt(), 0.0);
         assert_eq!(s.average_power().watts(), 0.0);
-        assert_eq!(s.saturation_rate(), 0.0);
     }
 
     #[test]
