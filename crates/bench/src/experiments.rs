@@ -25,7 +25,8 @@ use rand::SeedableRng;
 #[must_use]
 pub fn fig5a() -> (ExperimentRecord, String) {
     let adc = FpAdc::new(FpAdcConfig::e2m5_paper());
-    let r = adc.convert(Amps::from_micro(5.38));
+    let transient = adc.transient(Amps::from_micro(5.38));
+    let r = &transient.result;
     let code = r.code.expect("5.38 µA is in range");
     let record = ExperimentRecord::new(
         "FIG5A",
@@ -58,7 +59,7 @@ pub fn fig5a() -> (ExperimentRecord, String) {
     .with(
         "first adjustment instant",
         None,
-        r.adjustment_times[0].seconds() * 1e9,
+        transient.adjustment_times[0].seconds() * 1e9,
         "ns (5 ns reset + 39.0 ns)",
     )
     .with(
@@ -67,7 +68,7 @@ pub fn fig5a() -> (ExperimentRecord, String) {
         adc.decode_current(code).amps() * 1e6,
         "µA",
     );
-    (record, r.waveform.to_csv())
+    (record, transient.waveform.to_csv())
 }
 
 /// FIG5B — FP-DAC linearity: cell current over all 128 input codes for

@@ -108,7 +108,18 @@ impl CapBank {
     /// Total connected capacitance.
     #[must_use]
     pub fn total(&self) -> Farads {
-        Farads::new(self.caps[..self.connected].iter().sum())
+        self.total_of(self.connected)
+    }
+
+    /// Total capacitance of the first `connected` segments, summed in
+    /// segment order (what [`CapBank::total`] reports at that state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `connected` exceeds [`CapBank::segments`].
+    #[must_use]
+    pub fn total_of(&self, connected: usize) -> Farads {
+        Farads::new(self.caps[..connected].iter().sum())
     }
 
     /// Performs one range adjustment: connects the next segment
@@ -116,12 +127,23 @@ impl CapBank {
     /// connected total at voltage `v_now`. Returns the post-share
     /// voltage (Eq. 2–3), or `None` if no segment is left.
     pub fn share_charge(&mut self, v_now: Volts, v_reset: Volts) -> Option<Volts> {
-        if !self.can_adjust() {
+        let v = self.share_from(self.connected, v_now, v_reset)?;
+        self.connected += 1;
+        Some(v)
+    }
+
+    /// The post-share voltage of one range adjustment made with the
+    /// first `connected` segments at `v_now` (Eq. 2–3), without
+    /// changing the bank; `None` if no segment is left. The
+    /// FP-ADC's decision path keeps the connected count as local state
+    /// and calls this instead of mutating a cloned bank.
+    #[must_use]
+    pub fn share_from(&self, connected: usize, v_now: Volts, v_reset: Volts) -> Option<Volts> {
+        if connected >= self.caps.len() {
             return None;
         }
-        let c_old = self.total().farads();
-        let c_new = self.caps[self.connected];
-        self.connected += 1;
+        let c_old = self.total_of(connected).farads();
+        let c_new = self.caps[connected];
         let v = (c_old * v_now.volts() + c_new * v_reset.volts()) / (c_old + c_new);
         Some(Volts::new(v))
     }

@@ -14,6 +14,32 @@
 //! Because the input current is sample-held (constant) during a
 //! conversion, every segment of `V_O(t)` is linear and the transient is
 //! solved *exactly* by event stepping — no fixed-timestep error.
+//!
+//! ## Decision path and recording path
+//!
+//! One event-stepping routine serves two callers, with one float-op
+//! sequence:
+//!
+//! * the **decision path**, [`FpAdc::convert`] and
+//!   [`FpAdc::convert_noisy`], which every macro readout takes. It
+//!   keeps the capacitor bank's connected count as a local over the
+//!   ADC's template bank, records nothing and allocates nothing, and
+//!   returns only the code and its flags ([`FpAdcResult`]);
+//! * the **recording path**, [`FpAdc::transient`] and
+//!   [`FpAdc::transient_noisy`], which also keeps the `V_O(t)`
+//!   breakpoints and the adjustment instants ([`FpAdcTransient`]) for
+//!   the Fig. 5a reproduction and the transient example.
+//!
+//! Recording is an optional argument of the shared routine, so both
+//! paths make the same decisions bit for bit; a test sweeps them
+//! against each other across both formats, mismatch, non-ideal
+//! integrators and comparator noise.
+//!
+//! A current whose integrator slope `I/C` overflows to infinity (for
+//! example `+∞`, or `1e300` A on an ideal integrator) drives `V_O` to
+//! the supply rail at once: every range adjusts in the same instant and
+//! the code saturates with `overflow` set. Stepping such a transient
+//! would compute `∞·0 = NaN`.
 
 use crate::capbank::CapBank;
 use crate::comparator::Comparator;
@@ -129,10 +155,6 @@ pub struct FpAdcResult {
     pub overflow: bool,
     /// True if the input never reached the mantissa window.
     pub underflow: bool,
-    /// The `V_O(t)` waveform (Fig. 5a trace), including the reset phase.
-    pub waveform: Waveform,
-    /// Times (from the conversion start) of each range adjustment.
-    pub adjustment_times: Vec<Seconds>,
 }
 
 impl FpAdcResult {
@@ -140,6 +162,40 @@ impl FpAdcResult {
     #[must_use]
     pub fn value(&self) -> f64 {
         self.code.map_or(0.0, HwFpCode::value)
+    }
+}
+
+/// One conversion with its transient recorded: what the recording path
+/// ([`FpAdc::transient`]) returns.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FpAdcTransient {
+    /// The conversion result, the same as the decision path's for the
+    /// same input and noise draws.
+    pub result: FpAdcResult,
+    /// The `V_O(t)` waveform (Fig. 5a trace), including the reset phase.
+    pub waveform: Waveform,
+    /// Times (from the conversion start) of each range adjustment.
+    pub adjustment_times: Vec<Seconds>,
+}
+
+/// The recording path's sink, filled by [`FpAdc::run`] when present.
+#[derive(Debug, Default)]
+struct Recording {
+    waveform: Waveform,
+    adjustment_times: Vec<Seconds>,
+}
+
+/// Appends one `V_O(t)` breakpoint when recording.
+fn point(rec: &mut Option<&mut Recording>, t: Seconds, v: Volts) {
+    if let Some(r) = rec {
+        r.waveform.push(t, v);
+    }
+}
+
+/// Notes one range adjustment at `t` when recording.
+fn adjusted(rec: &mut Option<&mut Recording>, t: Seconds) {
+    if let Some(r) = rec {
+        r.adjustment_times.push(t);
     }
 }
 
@@ -214,21 +270,49 @@ impl FpAdc {
     }
 
     /// Converts a (sample-held, non-negative) MAC current. Noise-free;
-    /// use [`FpAdc::convert_noisy`] to include comparator noise.
+    /// use [`FpAdc::convert_noisy`] to include comparator noise. The
+    /// decision path: records nothing and allocates nothing.
     #[must_use]
     pub fn convert(&self, i_mac: Amps) -> FpAdcResult {
-        self.run(i_mac, &mut NoNoise)
+        self.run(i_mac, &mut NoNoise, None)
     }
 
     /// Converts with comparator noise sampled from `rng`.
     pub fn convert_noisy<R: Rng + ?Sized>(&self, i_mac: Amps, rng: &mut R) -> FpAdcResult {
+        self.run_noisy(i_mac, rng, None)
+    }
+
+    /// [`FpAdc::convert`] with the transient recorded: the same result,
+    /// plus the `V_O(t)` waveform and the adjustment instants
+    /// (Fig. 5a).
+    #[must_use]
+    pub fn transient(&self, i_mac: Amps) -> FpAdcTransient {
+        let mut rec = Recording::default();
+        let result = self.run(i_mac, &mut NoNoise, Some(&mut rec));
+        rec.into_transient(result)
+    }
+
+    /// [`FpAdc::convert_noisy`] with the transient recorded. Draws the
+    /// same noise samples from `rng` as `convert_noisy`.
+    pub fn transient_noisy<R: Rng + ?Sized>(&self, i_mac: Amps, rng: &mut R) -> FpAdcTransient {
+        let mut rec = Recording::default();
+        let result = self.run_noisy(i_mac, rng, Some(&mut rec));
+        rec.into_transient(result)
+    }
+
+    fn run_noisy<R: Rng + ?Sized>(
+        &self,
+        i_mac: Amps,
+        rng: &mut R,
+        rec: Option<&mut Recording>,
+    ) -> FpAdcResult {
         let sigma = self.config.comparator.noise_sigma.volts();
         if sigma <= 0.0 {
-            return self.run(i_mac, &mut NoNoise);
+            return self.run(i_mac, &mut NoNoise, rec);
         }
         let normal = Normal::new(0.0, sigma).expect("sigma non-negative");
         let mut source = RngNoise { normal, rng };
-        self.run(i_mac, &mut source)
+        self.run(i_mac, &mut source, rec)
     }
 
     /// Inverse of the conversion (paper Eq. 5):
@@ -253,29 +337,46 @@ impl FpAdc {
         Amps::new(self.config.c_int.farads() / self.config.t_integrate.seconds())
     }
 
-    fn run(&self, i_mac: Amps, noise: &mut dyn NoiseSource) -> FpAdcResult {
+    /// The one event-stepping conversion (see the module docs). With
+    /// `rec` it also records the transient; the float ops and the
+    /// noise draws are the same either way.
+    fn run(
+        &self,
+        i_mac: Amps,
+        noise: &mut dyn NoiseSource,
+        mut rec: Option<&mut Recording>,
+    ) -> FpAdcResult {
         let cfg = &self.config;
-        let mut bank = self.bank_template.clone();
-        bank.reset();
-        let mut waveform = Waveform::new();
-        let mut adjustment_times = Vec::new();
+        let bank = &self.bank_template;
+        let mut connected = 1;
+        let mut c_total = bank.total_of(connected);
 
         // Reset phase: V_O held at V_r (+ CDS residual offset).
         let v0 = cfg.v_reset + cfg.integrator.offset;
-        waveform.push(Seconds::ZERO, v0);
-        waveform.push(cfg.t_reset, v0);
+        point(&mut rec, Seconds::ZERO, v0);
+        point(&mut rec, cfg.t_reset, v0);
 
         let mut t = Seconds::ZERO; // time within the integration window
         let mut v = v0;
         let mut overflow = false;
 
-        if i_mac.amps() > 0.0 {
+        if i_mac.amps() > 0.0 && !cfg.integrator.slope(i_mac, c_total).is_finite() {
+            // I/C overflowed: V_O reaches the rail at once, every range
+            // adjusts in that instant and the code saturates.
+            overflow = true;
+            connected = bank.segments();
+            for _ in 1..connected {
+                adjusted(&mut rec, cfg.t_reset);
+            }
+            v = cfg.v_supply;
+            point(&mut rec, cfg.t_reset, v);
+            t = cfg.t_integrate;
+            point(&mut rec, cfg.t_reset + t, v);
+        } else if i_mac.amps() > 0.0 {
             loop {
                 let v_th_event =
                     cfg.comparator.effective_threshold(cfg.v_threshold) + noise.sample();
-                let crossing = cfg
-                    .integrator
-                    .time_to_reach(v, v_th_event, i_mac, bank.total());
+                let crossing = cfg.integrator.time_to_reach(v, v_th_event, i_mac, c_total);
                 match crossing {
                     Some(dt)
                         if (t + dt + cfg.comparator.delay).seconds()
@@ -284,14 +385,16 @@ impl FpAdc {
                         // Integrate up to the comparator's output edge
                         // (the crossing plus the decision delay).
                         let step = dt + cfg.comparator.delay;
-                        v = cfg.integrator.integrate(v, i_mac, bank.total(), step);
+                        v = cfg.integrator.integrate(v, i_mac, c_total, step);
                         t += step;
-                        waveform.push(cfg.t_reset + t, v);
-                        match bank.share_charge(v, cfg.v_reset) {
+                        point(&mut rec, cfg.t_reset + t, v);
+                        match bank.share_from(connected, v, cfg.v_reset) {
                             Some(shared) => {
                                 v = shared;
-                                adjustment_times.push(cfg.t_reset + t);
-                                waveform.push(cfg.t_reset + t, v);
+                                connected += 1;
+                                c_total = bank.total_of(connected);
+                                adjusted(&mut rec, cfg.t_reset + t);
+                                point(&mut rec, cfg.t_reset + t, v);
                             }
                             None => {
                                 // No range left: keep integrating, clamp at
@@ -300,10 +403,10 @@ impl FpAdc {
                                 let rest = cfg.t_integrate - t;
                                 v = cfg
                                     .integrator
-                                    .integrate(v, i_mac, bank.total(), rest)
+                                    .integrate(v, i_mac, c_total, rest)
                                     .min(cfg.v_supply);
                                 t = cfg.t_integrate;
-                                waveform.push(cfg.t_reset + t, v);
+                                point(&mut rec, cfg.t_reset + t, v);
                                 break;
                             }
                         }
@@ -313,29 +416,22 @@ impl FpAdc {
                         let rest = cfg.t_integrate - t;
                         v = cfg
                             .integrator
-                            .integrate(v, i_mac, bank.total(), rest)
+                            .integrate(v, i_mac, c_total, rest)
                             .min(cfg.v_supply);
                         t = cfg.t_integrate;
-                        waveform.push(cfg.t_reset + t, v);
+                        point(&mut rec, cfg.t_reset + t, v);
                         break;
                     }
                 }
             }
         } else {
-            waveform.push(cfg.t_reset + cfg.t_integrate, v);
+            point(&mut rec, cfg.t_reset + cfg.t_integrate, v);
             t = cfg.t_integrate;
         }
         debug_assert_eq!(t.seconds(), cfg.t_integrate.seconds());
 
         let v_sample = v;
-        let adjustments = bank.adjustments();
-        let slope = SingleSlope::new(
-            cfg.v_threshold,
-            cfg.v_mid(),
-            cfg.format.mantissa_levels(),
-            cfg.t_slope(),
-        );
-
+        let adjustments = (connected - 1) as u32;
         let (code, underflow) = if overflow {
             (Some(HwFpCode::saturated(cfg.format)), false)
         } else if v_sample.volts() < cfg.v_mid().volts() - 1e-12 {
@@ -344,6 +440,12 @@ impl FpAdc {
             // being misclassified as underflow.
             (None, true)
         } else {
+            let slope = SingleSlope::new(
+                cfg.v_threshold,
+                cfg.v_mid(),
+                cfg.format.mantissa_levels(),
+                cfg.t_slope(),
+            );
             let man = slope.convert(v_sample);
             (
                 Some(HwFpCode::new(cfg.format, adjustments, man).expect("fields in range")),
@@ -352,7 +454,11 @@ impl FpAdc {
         };
 
         // Record the held value through the slope phase for plotting.
-        waveform.push(cfg.t_reset + cfg.t_integrate + cfg.t_slope(), v_sample);
+        point(
+            &mut rec,
+            cfg.t_reset + cfg.t_integrate + cfg.t_slope(),
+            v_sample,
+        );
 
         FpAdcResult {
             code,
@@ -360,8 +466,16 @@ impl FpAdc {
             adjustments,
             overflow,
             underflow,
-            waveform,
-            adjustment_times,
+        }
+    }
+}
+
+impl Recording {
+    fn into_transient(self, result: FpAdcResult) -> FpAdcTransient {
+        FpAdcTransient {
+            result,
+            waveform: self.waveform,
+            adjustment_times: self.adjustment_times,
         }
     }
 }
@@ -419,7 +533,7 @@ mod tests {
     fn fig5a_adjustment_times() {
         // Crossings at 39.03 ns and 78.06 ns after integration start
         // (plus the 5 ns reset).
-        let r = adc().convert(Amps::from_micro(5.38));
+        let r = adc().transient(Amps::from_micro(5.38));
         assert_eq!(r.adjustment_times.len(), 2);
         let t1 = r.adjustment_times[0].seconds() * 1e9;
         let t2 = r.adjustment_times[1].seconds() * 1e9;
@@ -442,11 +556,12 @@ mod tests {
     fn overflow_saturates() {
         let a = adc();
         let above = Amps::new(a.full_scale_current().amps() * 1.5);
-        let r = a.convert(above);
+        let t = a.transient(above);
+        let r = &t.result;
         assert!(r.overflow);
         assert_eq!(r.code.unwrap(), HwFpCode::saturated(FpFormat::E2M5));
         // Output clamped at the supply.
-        assert!(r.waveform.max_voltage().volts() <= 2.5 + 1e-12);
+        assert!(t.waveform.max_voltage().volts() <= 2.5 + 1e-12);
     }
 
     #[test]
@@ -487,7 +602,7 @@ mod tests {
 
     #[test]
     fn adjustments_drop_to_one_volt() {
-        let r = adc().convert(Amps::from_micro(5.38));
+        let r = adc().transient(Amps::from_micro(5.38));
         // After each adjustment the waveform steps down to ~1 V.
         for t in &r.adjustment_times {
             let v = r.waveform.sample_at(*t);

@@ -48,7 +48,7 @@ pub mod waveform;
 pub use capbank::CapBank;
 pub use comparator::Comparator;
 pub use energy::{AdcSpec, EnergyModel, EnergyParams, MacroEnergyBreakdown};
-pub use fp_adc::{FpAdc, FpAdcConfig, FpAdcResult};
+pub use fp_adc::{FpAdc, FpAdcConfig, FpAdcResult, FpAdcTransient};
 pub use fp_dac::{FpDac, FpDacConfig};
 pub use int_adc::{IntAdc, IntAdcConfig, IntAdcResult};
 pub use int_dac::IntDac;

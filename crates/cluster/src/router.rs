@@ -266,6 +266,10 @@ pub(crate) struct RouterShared {
     /// only) — agreement was verified at startup, so the router
     /// re-advertises it on its own `health` op.
     catalog_seed: Option<u64>,
+    /// Ends the blocking transport's acceptor wait so a drain stops it
+    /// at once (`None` on the reactor transport, or where the acceptor
+    /// has no readiness wait).
+    accept_waker: Option<afpr_reactor::Waker>,
 }
 
 /// One atomically-swapped generation of placement state. Scatter
@@ -287,6 +291,9 @@ impl RouterShared {
 
     pub(crate) fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
+        if let Some(w) = &self.accept_waker {
+            w.wake();
+        }
     }
 
     pub(crate) fn reject_malformed(&self, id: u64, detail: impl Into<String>) -> Response {
@@ -519,6 +526,12 @@ impl Router {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (accept_wait, accept_waker) = if cfg.transport == Transport::Reactor {
+            (None, None)
+        } else {
+            let (wait, waker) = afpr_reactor::AcceptWait::new(&listener);
+            (Some(wait), waker)
+        };
 
         let shared = Arc::new(RouterShared {
             cfg,
@@ -535,6 +548,7 @@ impl Router {
             expected,
             catalog,
             catalog_seed,
+            accept_waker,
         });
         // Initial placement (epoch 1 in sharded mode). All backends
         // just answered the startup probe, so every slot is eligible.
@@ -622,9 +636,10 @@ impl Router {
 
             let acceptor = {
                 let shared_acc = Arc::clone(&shared);
+                let wait = accept_wait.expect("the blocking transport has an accept wait");
                 let spawned = thread::Builder::new()
                     .name("afpr-cluster-accept".into())
-                    .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx));
+                    .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx, wait));
                 match spawned {
                     Ok(h) => h,
                     Err(e) => {
@@ -961,8 +976,15 @@ fn pipeline_catalog(
 // Acceptor + connection workers (same discipline as the backend server)
 // ---------------------------------------------------------------------------
 
-fn acceptor_loop(shared: &RouterShared, listener: &TcpListener, conn_tx: &Sender<TcpStream>) {
-    const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Accepts client connections until the drain, handing each to the
+/// worker pool. Between connections it parks on listener readiness
+/// ([`afpr_reactor::AcceptWait`]); `begin_shutdown` wakes it.
+fn acceptor_loop(
+    shared: &RouterShared,
+    listener: &TcpListener,
+    conn_tx: &Sender<TcpStream>,
+    mut wait: afpr_reactor::AcceptWait,
+) {
     loop {
         if shared.is_shutting_down() {
             return;
@@ -982,8 +1004,7 @@ fn acceptor_loop(shared: &RouterShared, listener: &TcpListener, conn_tx: &Sender
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(e) => wait.pause(&e),
         }
     }
 }

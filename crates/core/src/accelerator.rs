@@ -11,7 +11,6 @@ use afpr_xbar::metrics::MacroStats;
 use afpr_xbar::quant::FpActQuantizer;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
 use afpr_xbar::PartialSumAdder;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// Opaque handle to a mapped layer.
@@ -140,15 +139,16 @@ impl AfprAccelerator {
     }
 
     /// Executes a tiled matrix-vector product: a batch of one through
-    /// [`matvec_batch`](Self::matvec_batch).
+    /// the reduction [`matvec_batch`](Self::matvec_batch) runs. Warm
+    /// and engine-free, the returned `Vec` is its only heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale or `x.len() != K`.
     pub fn matvec(&mut self, handle: LayerHandle, x: &[f32]) -> Vec<f32> {
-        self.matvec_batch(handle, &[x.to_vec()])
-            .pop()
-            .expect("a batch of one gives one output")
+        let mut y = Vec::new();
+        self.reduce(handle, &[x], None, std::slice::from_mut(&mut y));
+        y
     }
 
     /// Height of a full row tile of a mapped layer, i.e. the input-row
@@ -224,9 +224,15 @@ impl AfprAccelerator {
             "row range end {end} is not a row-tile boundary"
         );
         let row_tiles = row_offset / unit..end.div_ceil(unit);
-        self.run_tiles(handle, row_tiles, &[x.to_vec()], None)
-            .pop()
-            .expect("a batch of one gives one output")
+        let mut partials = vec![vec![0.0f32; tiled.n]; row_tiles.len()];
+        run_tiles(
+            &mut self.layers[handle.0],
+            row_tiles,
+            &[x],
+            None,
+            |_, row_tile, cols, y| partials[row_tile][cols].copy_from_slice(y),
+        );
+        partials
     }
 
     /// Batched tiled matrix-vector products, engine-free: every tile's
@@ -242,7 +248,9 @@ impl AfprAccelerator {
     ///
     /// Panics if the handle is stale or any `xs[i].len() != K`.
     pub fn matvec_batch(&mut self, handle: LayerHandle, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        self.reduce(handle, xs, None)
+        let mut ys = vec![Vec::new(); xs.len()];
+        self.reduce(handle, xs, None, &mut ys);
+        ys
     }
 
     /// [`matvec_batch`](Self::matvec_batch) with tile-level parallelism:
@@ -266,107 +274,47 @@ impl AfprAccelerator {
         xs: &[Vec<f32>],
         engine: &Engine,
     ) -> Vec<Vec<f32>> {
-        let out = self.reduce(handle, xs, Some(engine));
+        let mut ys = vec![Vec::new(); xs.len()];
+        self.reduce(handle, xs, Some(engine), &mut ys);
         let layer = &self.layers[handle.0];
         let b = xs.len();
         engine.metrics().record_tiles(
             (layer.macros.len() * b) as u64,
             (layer.tiled.k * layer.tiled.n * b) as u64,
         );
-        out
+        ys
     }
 
     /// The one reduction: runs every row tile of a layer over the batch
     /// and folds each sample's row-tile partials, in row-tile order,
-    /// through [`PartialSumAdder::sum_into`].
-    fn reduce(
+    /// into `outs[s]` with [`PartialSumAdder::accumulate`]: the per
+    /// column fold and the addition count of
+    /// [`PartialSumAdder::sum_into`] on the full-width partials.
+    fn reduce<X: AsRef<[f32]>>(
         &mut self,
         handle: LayerHandle,
-        xs: &[Vec<f32>],
+        xs: &[X],
         engine: Option<&Engine>,
-    ) -> Vec<Vec<f32>> {
-        let tiled = &self.layers[handle.0].tiled;
-        let (k, row_tiles) = (tiled.k, tiled.row_tiles);
-        for x in xs {
-            assert_eq!(x.len(), k, "input length must equal K");
-        }
-        self.run_tiles(handle, 0..row_tiles, xs, engine)
-            .into_iter()
-            .map(|partials| {
-                let parts: Vec<&[f32]> = partials.iter().map(Vec::as_slice).collect();
-                let mut out = Vec::new();
-                self.adder.sum_into(&parts, &mut out);
-                out
-            })
-            .collect()
-    }
-
-    /// The one tile executor: runs the macros of row tiles `row_tiles`
-    /// over a batch whose samples start at the first of those tiles'
-    /// input rows. Every macro takes the whole batch through
-    /// [`CimMacro::matvec_batch`]; with an engine of more than one
-    /// worker and more than one tile, tiles run as pool jobs. Returns,
-    /// per sample, one full-width partial per row tile: its column
-    /// tiles' outputs concatenated, so no additions happen here.
-    fn run_tiles(
-        &mut self,
-        handle: LayerHandle,
-        row_tiles: Range<usize>,
-        xs: &[Vec<f32>],
-        engine: Option<&Engine>,
-    ) -> Vec<Vec<Vec<f32>>> {
+        outs: &mut [Vec<f32>],
+    ) {
         let layer = &mut self.layers[handle.0];
-        let tiled = &layer.tiled;
-        let tiles = row_tiles.start * tiled.col_tiles..row_tiles.end * tiled.col_tiles;
-        let offset = tiled.tiles[tiles.start].row_start;
-        // Under one row tile, every tile takes the batch as it is.
-        let inputs = |tile: &Tile| -> Cow<'_, [Vec<f32>]> {
-            if row_tiles.len() == 1 {
-                return Cow::Borrowed(xs);
-            }
-            xs.iter()
-                .map(|x| x[tile.row_start - offset..tile.row_end - offset].to_vec())
-                .collect()
-        };
-        let outs: Vec<Vec<Vec<f32>>> = match engine {
-            Some(engine) if tiles.len() > 1 && engine.threads() > 1 => {
-                // Macros move into the jobs and back, in tile order.
-                let jobs: Vec<(CimMacro, Vec<Vec<f32>>)> = layer
-                    .macros
-                    .drain(tiles.clone())
-                    .zip(&tiled.tiles[tiles.clone()])
-                    .map(|(mac, tile)| (mac, inputs(tile).into_owned()))
-                    .collect();
-                let done = engine.execute_chunked(jobs, |(mut mac, inputs)| {
-                    let ys = mac.matvec_batch(&inputs);
-                    (mac, ys)
-                });
-                let (macros, outs): (Vec<CimMacro>, Vec<_>) = done.into_iter().unzip();
-                layer.macros.splice(tiles.start..tiles.start, macros);
-                outs
-            }
-            _ => layer.macros[tiles.clone()]
-                .iter_mut()
-                .zip(&tiled.tiles[tiles.clone()])
-                .map(|(mac, tile)| mac.matvec_batch(&inputs(tile)))
-                .collect(),
-        };
-        // Tiles come in (row tile, column tile) order, and column tiles
-        // cover the columns left to right.
-        let mut partials: Vec<Vec<Vec<f32>>> = vec![Vec::new(); xs.len()];
-        for (i, ys) in outs.into_iter().enumerate() {
-            for (sample, y) in partials.iter_mut().zip(ys) {
-                if i % tiled.col_tiles == 0 {
-                    sample.push(y);
-                } else {
-                    sample
-                        .last_mut()
-                        .expect("column tile 0 comes first")
-                        .extend(y);
-                }
-            }
+        let (k, n, row_tiles) = (layer.tiled.k, layer.tiled.n, layer.tiled.row_tiles);
+        for x in xs {
+            assert_eq!(x.as_ref().len(), k, "input length must equal K");
         }
-        partials
+        for y in outs.iter_mut() {
+            y.clear();
+            y.resize(n, 0.0);
+        }
+        let adder = &mut self.adder;
+        run_tiles(layer, 0..row_tiles, xs, engine, |s, row_tile, cols, y| {
+            let acc = &mut outs[s][cols];
+            if row_tile == 0 {
+                acc.copy_from_slice(y);
+            } else {
+                adder.accumulate(acc, y);
+            }
+        });
     }
 
     /// Aggregated statistics over every macro.
@@ -500,6 +448,64 @@ impl AfprAccelerator {
             }
         }
         total
+    }
+}
+
+/// The one tile executor: runs the macros of row tiles `row_tiles` of
+/// `layer` over a batch whose samples start at the first of those
+/// tiles' input rows, and calls `emit(sample, row tile − first row
+/// tile, output columns, output)` once per tile and sample, tiles in
+/// `(row tile, column tile)` order. Engine-free, every macro reads its
+/// row slice of each sample in place through
+/// [`CimMacro::matvec_batch_with`]; with an engine of more than one
+/// worker and more than one tile, tiles run as pool jobs on copies of
+/// their slices.
+fn run_tiles<X: AsRef<[f32]>>(
+    layer: &mut MappedLayer,
+    row_tiles: Range<usize>,
+    xs: &[X],
+    engine: Option<&Engine>,
+    mut emit: impl FnMut(usize, usize, Range<usize>, &[f32]),
+) {
+    let tiled = &layer.tiled;
+    let tiles = row_tiles.start * tiled.col_tiles..row_tiles.end * tiled.col_tiles;
+    let offset = tiled.tiles[tiles.start].row_start;
+    let rows = |tile: &Tile| tile.row_start - offset..tile.row_end - offset;
+    let row_tile = |t: usize| t / tiled.col_tiles - row_tiles.start;
+    match engine {
+        Some(engine) if tiles.len() > 1 && engine.threads() > 1 => {
+            // Macros move into the jobs and back, in tile order.
+            let jobs: Vec<(CimMacro, Vec<Vec<f32>>)> = layer
+                .macros
+                .drain(tiles.clone())
+                .zip(&tiled.tiles[tiles.clone()])
+                .map(|(mac, tile)| {
+                    let inputs = xs.iter().map(|x| x.as_ref()[rows(tile)].to_vec());
+                    (mac, inputs.collect())
+                })
+                .collect();
+            let done = engine.execute_chunked(jobs, |(mut mac, inputs)| {
+                let ys = mac.matvec_batch(&inputs);
+                (mac, ys)
+            });
+            let (macros, outs): (Vec<CimMacro>, Vec<_>) = done.into_iter().unzip();
+            layer.macros.splice(tiles.start..tiles.start, macros);
+            for (t, ys) in tiles.zip(outs) {
+                let tile = &tiled.tiles[t];
+                for (s, y) in ys.iter().enumerate() {
+                    emit(s, row_tile(t), tile.col_start..tile.col_end, y);
+                }
+            }
+        }
+        _ => {
+            for t in tiles {
+                let tile = &tiled.tiles[t];
+                let inputs = xs.iter().map(|x| &x.as_ref()[rows(tile)]);
+                layer.macros[t].matvec_batch_with(inputs, |s, y| {
+                    emit(s, row_tile(t), tile.col_start..tile.col_end, y);
+                });
+            }
+        }
     }
 }
 

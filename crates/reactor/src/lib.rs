@@ -7,9 +7,10 @@
 //! external dependency (consistent with the air-gapped vendoring
 //! policy): hand-rolled epoll FFI, a safe level-triggered [`Poller`],
 //! a cross-thread [`Waker`], a generation-tagged [`Slab`] for
-//! connection tokens, and [`FrameConn`] for incremental
+//! connection tokens, [`FrameConn`] for incremental
 //! length-prefixed frame assembly with buffered, backpressure-aware
-//! writes.
+//! writes, and [`AcceptWait`], which parks the blocking transports'
+//! acceptor threads on listener readiness.
 //!
 //! This is the only workspace crate that contains `unsafe`; all of it
 //! is confined to `sys.rs` behind safe wrappers. `afpr-serve` and
@@ -20,11 +21,13 @@
 #[cfg(target_os = "linux")]
 mod sys;
 
+mod accept;
 mod conn;
 mod poller;
 mod slab;
 mod waker;
 
+pub use accept::AcceptWait;
 pub use conn::{FrameConn, FrameTooLarge};
 pub use poller::{reactor_supported, Event, Events, Interest, Poller};
 pub use slab::{Slab, SENTINEL_BASE};

@@ -381,6 +381,10 @@ pub(crate) struct Shared {
     /// replies ready (`None` on the blocking transport, whose workers
     /// block on their own reply channels instead).
     transport_waker: Option<afpr_reactor::Waker>,
+    /// Ends the blocking transport's acceptor wait so a drain stops it
+    /// at once (`None` on the reactor transport, or where the acceptor
+    /// has no readiness wait).
+    accept_waker: Option<afpr_reactor::Waker>,
 }
 
 impl Shared {
@@ -402,6 +406,9 @@ impl Shared {
         self.health.set_draining();
         self.batcher.close();
         self.wake_transport();
+        if let Some(w) = &self.accept_waker {
+            w.wake();
+        }
     }
 
     /// Admission-queue fill fraction in `[0, 1]`.
@@ -526,6 +533,13 @@ impl Server {
             }
             Transport::Blocking => (None, None),
         };
+        let (accept_wait, accept_waker) = match cfg.transport {
+            Transport::Reactor => (None, None),
+            Transport::Blocking => {
+                let (wait, waker) = afpr_reactor::AcceptWait::new(&listener);
+                (Some(wait), waker)
+            }
+        };
         let shared = Arc::new(Shared {
             cfg,
             shutting_down: AtomicBool::new(false),
@@ -538,6 +552,7 @@ impl Server {
             registry,
             base_format,
             transport_waker,
+            accept_waker,
         });
 
         // Thread-spawn failure (OS resource exhaustion) is an I/O error
@@ -605,9 +620,10 @@ impl Server {
 
         let acceptor = {
             let shared_acc = Arc::clone(&shared);
+            let wait = accept_wait.expect("the blocking transport has an accept wait");
             let spawned = thread::Builder::new()
                 .name("afpr-serve-accept".into())
-                .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx));
+                .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx, wait));
             match spawned {
                 Ok(h) => h,
                 Err(e) => {
@@ -692,8 +708,15 @@ impl Drop for Server {
 // Acceptor
 // ---------------------------------------------------------------------------
 
-fn acceptor_loop(shared: &Shared, listener: &TcpListener, conn_tx: &Sender<TcpStream>) {
-    const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// Accepts connections until the drain, handing each to the worker
+/// pool. Between connections it parks on listener readiness
+/// ([`afpr_reactor::AcceptWait`]); `begin_shutdown` wakes it.
+fn acceptor_loop(
+    shared: &Shared,
+    listener: &TcpListener,
+    conn_tx: &Sender<TcpStream>,
+    mut wait: afpr_reactor::AcceptWait,
+) {
     loop {
         if shared.is_shutting_down() {
             return;
@@ -716,8 +739,7 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener, conn_tx: &Sender<TcpSt
                     Err(TrySendError::Disconnected(_)) => return,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
+            Err(e) => wait.pause(&e),
         }
     }
 }

@@ -36,16 +36,29 @@
 //!
 //! ## One compute path
 //!
-//! [`CimMacro::matvec_batch`] is the only code that drives the arrays
-//! and the ADCs for compute, as one DAC → array → ADC pipeline: per
-//! sample, quantize and build one DAC drive row per live sign phase;
-//! one blocked conductance pass per polarity array over the whole
-//! batch's drive slab ([`Crossbar::mac_currents_batch`]); then one ADC
-//! readout per column and one energy/latency account per sample.
-//! [`CimMacro::matvec`] is a batch of one. With runtime read noise
-//! (`read_noise_sigma != 0`) the array stage runs one sample at a time
-//! through [`Crossbar::mac_currents_noisy`], so every RNG stream keeps
-//! the per-sample draw order.
+//! [`CimMacro::matvec_batch_with`] is the only code that drives the
+//! arrays and the ADCs for compute, as one DAC → array → ADC pipeline:
+//! per sample, quantize and build one DAC drive row per live sign
+//! phase; one blocked conductance pass per polarity array over the
+//! whole batch's drive slab ([`ConductanceKernel::mac_batch_into`]);
+//! then one ADC readout per column and one energy/latency account per
+//! sample. [`CimMacro::matvec`] is a batch of one and
+//! [`CimMacro::matvec_batch`] collects every sample's output. With
+//! runtime read noise (`read_noise_sigma != 0`) the array stage runs
+//! one sample at a time through [`Crossbar::mac_currents_noisy`], so
+//! every RNG stream keeps the per-sample draw order.
+//!
+//! Each array's conductance snapshot is taken once per batch. Every
+//! intermediate lives in a scratch arena the macro keeps across calls:
+//! the quantized activations, the drive slab, the per-sample records,
+//! the per-array currents and powers, the net column currents and the
+//! output row handed to the caller. The FP-ADC readout takes its
+//! allocation-free decision path ([`FpAdc::convert_noisy`]). So a warm
+//! [`CimMacro::matvec`] allocates only the `Vec` it returns, and a
+//! warm [`CimMacro::matvec_batch`] of `B` samples only its `B` rows and
+//! the list that holds them.
+//!
+//! [`ConductanceKernel::mac_batch_into`]: crate::kernel::ConductanceKernel::mac_batch_into
 
 use crate::crossbar::Crossbar;
 use crate::mapping::{map_weights, MappedWeights};
@@ -64,7 +77,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 
-/// One sample's share of a batch in [`CimMacro::matvec_batch`].
+/// One sample's share of a batch in [`CimMacro::matvec_batch_with`].
+#[derive(Debug, Clone)]
 struct Sample {
     /// Its drive rows in the batch's drive slab, at most one per sign
     /// phase.
@@ -75,6 +89,35 @@ struct Sample {
     a_scale: f32,
     /// Rows driven with a non-zero code.
     active_rows: usize,
+}
+
+/// The buffers one [`CimMacro::matvec_batch_with`] call works in, kept
+/// by the macro so a warm call allocates none of them (see the module
+/// docs).
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Quantized FP activations of the sample being driven.
+    fp_acts: Vec<SignedActivation>,
+    /// Quantized INT activations `(negative, magnitude)` of the sample
+    /// being driven.
+    int_acts: Vec<(bool, u32)>,
+    /// The batch's drive slab: `rows` voltages per drive row,
+    /// sample-major.
+    drives: Vec<Volts>,
+    /// One record per sample.
+    samples: Vec<Sample>,
+    /// Column currents of the positive and negative arrays, amps,
+    /// `cols` per drive row.
+    i_pos: Vec<f64>,
+    i_neg: Vec<f64>,
+    /// Power of the positive and negative arrays, watts, one per drive
+    /// row.
+    p_pos: Vec<f64>,
+    p_neg: Vec<f64>,
+    /// Net signed column currents of the sample being read out, amps.
+    net: Vec<f64>,
+    /// Output row of the sample being read out.
+    y: Vec<f32>,
 }
 
 /// One AFPR-CIM macro instance.
@@ -106,6 +149,7 @@ pub struct CimMacro {
     current_divider: f64,
     stats: MacroStats,
     rng: StdRng,
+    scratch: Scratch,
 }
 
 impl CimMacro {
@@ -148,6 +192,7 @@ impl CimMacro {
             current_divider: 1.0,
             stats: MacroStats::default(),
             rng,
+            scratch: Scratch::default(),
         }
     }
 
@@ -434,57 +479,66 @@ impl CimMacro {
     }
 
     /// DAC stage for one sample: quantizes `x` in the macro's format
-    /// and appends one drive row per live sign phase to `drives`,
-    /// positive phase first. An FP phase is live when one of its rows
-    /// carries a code, an INT phase when it drives a non-zero voltage.
-    fn drive_rows(&self, x: &[f32], drives: &mut Vec<Vec<Volts>>) -> Sample {
+    /// and appends one drive row per live sign phase to the scratch
+    /// drive slab, positive phase first. An FP phase is live when one
+    /// of its rows carries a code, an INT phase when it drives a
+    /// non-zero voltage.
+    fn drive_rows(&self, x: &[f32], s: &mut Scratch) -> Sample {
         assert_eq!(x.len(), self.spec.rows, "need one activation per row");
-        let first = drives.len();
+        let rows = self.spec.rows;
+        let first = s.drives.len() / rows;
         let mut signs = [0.0; 2];
+        let mut live = 0;
         let (a_scale, active_rows) = match self.spec.mode {
             MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
                 let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
-                let acts = q.quantize_slice(x);
+                s.fp_acts.clear();
+                s.fp_acts.extend(x.iter().map(|&v| q.quantize(v)));
                 for (negative, sign) in [(false, 1.0), (true, -1.0)] {
-                    if acts
+                    if s.fp_acts
                         .iter()
                         .any(|a| a.negative == negative && a.code.is_some())
                     {
-                        let drive = acts.iter().enumerate().map(|(r, a)| match a.code {
+                        let drive = s.fp_acts.iter().enumerate().map(|(r, a)| match a.code {
                             Some(c) if a.negative == negative => self.fp_voltage(r, c),
                             _ => Volts::ZERO,
                         });
-                        signs[drives.len() - first] = sign;
-                        drives.push(drive.collect());
+                        s.drives.extend(drive);
+                        signs[live] = sign;
+                        live += 1;
                     }
                 }
-                (q.scale, acts.iter().filter(|a| a.code.is_some()).count())
+                (
+                    q.scale,
+                    s.fp_acts.iter().filter(|a| a.code.is_some()).count(),
+                )
             }
             MacroMode::Int8 => {
                 let q = IntActQuantizer::calibrate(x);
-                let acts: Vec<(bool, u32)> = x.iter().map(|&v| q.quantize(v)).collect();
+                s.int_acts.clear();
+                s.int_acts.extend(x.iter().map(|&v| q.quantize(v)));
                 for (negative, sign) in [(false, 1.0), (true, -1.0)] {
-                    let drive: Vec<Volts> = acts
-                        .iter()
-                        .map(|&(neg, m)| {
-                            if neg == negative {
-                                self.int_dac.convert(m)
-                            } else {
-                                Volts::ZERO
-                            }
-                        })
-                        .collect();
-                    if drive.iter().any(|v| v.volts() != 0.0) {
-                        signs[drives.len() - first] = sign;
-                        drives.push(drive);
+                    let start = s.drives.len();
+                    s.drives.extend(s.int_acts.iter().map(|&(neg, m)| {
+                        if neg == negative {
+                            self.int_dac.convert(m)
+                        } else {
+                            Volts::ZERO
+                        }
+                    }));
+                    if s.drives[start..].iter().any(|v| v.volts() != 0.0) {
+                        signs[live] = sign;
+                        live += 1;
+                    } else {
+                        s.drives.truncate(start);
                     }
                 }
-                let active_rows = acts.iter().filter(|&&(_, m)| m > 0).count();
+                let active_rows = s.int_acts.iter().filter(|&&(_, m)| m > 0).count();
                 (q.inner().scale(), active_rows)
             }
         };
         Sample {
-            drives: first..drives.len(),
+            drives: first..first + live,
             signs,
             a_scale,
             active_rows,
@@ -525,19 +579,37 @@ impl CimMacro {
     }
 
     /// End-to-end real-valued matrix-vector product: a batch of one
-    /// through [`CimMacro::matvec_batch`].
+    /// through [`CimMacro::matvec_batch_with`]. Warm, the returned `Vec`
+    /// is its only heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or weights are not programmed.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
-        self.matvec_batch(&[x.to_vec()])
-            .pop()
-            .expect("a batch of one gives one output")
+        let mut out = Vec::new();
+        self.matvec_batch_with([x], |_, y| out = y.to_vec());
+        out
     }
 
-    /// The macro's one compute path: signed real-valued matrix-vector
-    /// products for a batch of inputs (see the module docs).
+    /// Signed real-valued matrix-vector products for a batch of
+    /// inputs, one output row per sample: the rows
+    /// [`CimMacro::matvec_batch_with`] hands out, collected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample length differs from `rows` or weights are not
+    /// programmed.
+    pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let mut out = Vec::with_capacity(xs.len());
+        self.matvec_batch_with(xs.iter().map(Vec::as_slice), |_, y| out.push(y.to_vec()));
+        out
+    }
+
+    /// The macro's one compute path (see the module docs): runs every
+    /// sample of `xs` and calls `emit(sample index, output row)` once
+    /// per sample, in sample order. The row lives in the macro's
+    /// scratch arena and is overwritten by the next sample, so `emit`
+    /// copies what it keeps.
     ///
     /// Per sample, an activation quantizer is calibrated on the input
     /// and the input drives up to two sign phases. The differential
@@ -551,9 +623,20 @@ impl CimMacro {
     ///
     /// Panics if a sample length differs from `rows` or weights are not
     /// programmed.
-    pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut drives = Vec::with_capacity(2 * xs.len());
-        let samples: Vec<Sample> = xs.iter().map(|x| self.drive_rows(x, &mut drives)).collect();
+    pub fn matvec_batch_with<'x>(
+        &mut self,
+        xs: impl IntoIterator<Item = &'x [f32]>,
+        mut emit: impl FnMut(usize, &[f32]),
+    ) {
+        // The arena leaves `self` for the call, so the DAC and ADC
+        // stages can borrow the macro while filling it.
+        let mut s = std::mem::take(&mut self.scratch);
+        s.drives.clear();
+        s.samples.clear();
+        for x in xs {
+            let sample = self.drive_rows(x, &mut s);
+            s.samples.push(sample);
+        }
         let w_scale = self.mapped_weights().scale;
         let adc_spec = match self.spec.mode {
             MacroMode::FpE2M5 | MacroMode::FpE3M4 => AdcSpec::fp(&self.spec.fp_adc),
@@ -561,54 +644,73 @@ impl CimMacro {
         };
         let units = self.digital_units_per_adc_unit();
         let divider = self.current_divider;
+        let (rows, cols) = (self.spec.rows, self.spec.cols);
+        let t_int = adc_spec.t_integrate.seconds();
         let noisy = self.spec.device.read_noise_sigma != 0.0;
-        let group = if noisy { 1 } else { samples.len().max(1) };
+        let group = if noisy { 1 } else { s.samples.len().max(1) };
 
-        let mut out = Vec::with_capacity(xs.len());
-        for chunk in samples.chunks(group) {
-            let base = chunk[0].drives.start;
-            let slab = &drives[base..chunk[chunk.len() - 1].drives.end];
-            let (ip, im): (Vec<Vec<Amps>>, Vec<Vec<Amps>>) = if noisy {
-                slab.iter()
-                    .map(|v| {
-                        (
-                            self.pos.mac_currents_noisy(v, &mut self.rng),
-                            self.neg.mac_currents_noisy(v, &mut self.rng),
-                        )
-                    })
-                    .unzip()
+        let drive_rows = s.drives.len() / rows;
+        s.i_pos.resize(drive_rows * cols, 0.0);
+        s.i_neg.resize(drive_rows * cols, 0.0);
+        s.p_pos.resize(drive_rows, 0.0);
+        s.p_neg.resize(drive_rows, 0.0);
+        let (pos, neg) = (
+            self.pos.conductance_snapshot(),
+            self.neg.conductance_snapshot(),
+        );
+
+        let mut index = 0;
+        for chunk in s.samples.chunks(group) {
+            let first = chunk[0].drives.start;
+            let last = chunk[chunk.len() - 1].drives.end;
+            let slab = &s.drives[first * rows..last * rows];
+            let (i_pos, i_neg) = (
+                &mut s.i_pos[first * cols..last * cols],
+                &mut s.i_neg[first * cols..last * cols],
+            );
+            if noisy {
+                for ((v, ip), im) in slab
+                    .chunks_exact(rows)
+                    .zip(i_pos.chunks_exact_mut(cols))
+                    .zip(i_neg.chunks_exact_mut(cols))
+                {
+                    let p = self.pos.mac_currents_noisy(v, &mut self.rng);
+                    let m = self.neg.mac_currents_noisy(v, &mut self.rng);
+                    for (dst, src) in ip.iter_mut().zip(&p).chain(im.iter_mut().zip(&m)) {
+                        *dst = src.amps();
+                    }
+                }
             } else {
-                (
-                    self.pos.mac_currents_batch(slab),
-                    self.neg.mac_currents_batch(slab),
-                )
-            };
-            let ep = self.pos.array_energy_batch(slab, adc_spec.t_integrate);
-            let em = self.neg.array_energy_batch(slab, adc_spec.t_integrate);
+                pos.mac_batch_into(slab, i_pos);
+                neg.mac_batch_into(slab, i_neg);
+            }
+            pos.power_batch_into(slab, &mut s.p_pos[first..last]);
+            neg.power_batch_into(slab, &mut s.p_neg[first..last]);
             for sample in chunk {
-                let mut net = vec![0.0f64; self.spec.cols]; // amps, signed
+                s.net.clear();
+                s.net.resize(cols, 0.0); // amps, signed
                 let mut array_energy = Joules::ZERO;
                 for (k, sign) in sample.drives.clone().zip(sample.signs) {
-                    let j = k - base;
-                    for (n, (p, m)) in net.iter_mut().zip(ip[j].iter().zip(&im[j])) {
-                        *n += sign * (p.amps() - m.amps());
+                    let ip = &s.i_pos[k * cols..(k + 1) * cols];
+                    let im = &s.i_neg[k * cols..(k + 1) * cols];
+                    for (n, (p, m)) in s.net.iter_mut().zip(ip.iter().zip(im)) {
+                        *n += sign * (p - m);
                     }
-                    array_energy += ep[j] + em[j];
+                    array_energy +=
+                        Joules::new(s.p_pos[k] * t_int) + Joules::new(s.p_neg[k] * t_int);
                 }
-                let y = net
-                    .iter()
-                    .enumerate()
-                    .map(|(col, i_net)| {
-                        let level = self.read_column(col, Amps::new(i_net.abs() / divider));
-                        (level * units * i_net.signum()) as f32 * sample.a_scale * w_scale
-                    })
-                    .collect();
+                s.y.clear();
+                for (col, i_net) in s.net.iter().enumerate() {
+                    let level = self.read_column(col, Amps::new(i_net.abs() / divider));
+                    s.y.push((level * units * i_net.signum()) as f32 * sample.a_scale * w_scale);
+                }
                 let phases = u32::try_from(sample.drives.len()).expect("at most two phases");
                 self.account(adc_spec, sample.active_rows, array_energy, phases.max(1));
-                out.push(y);
+                emit(index, &s.y);
+                index += 1;
             }
         }
-        out
+        self.scratch = s;
     }
 
     /// The exact digital reference MAC (`Σ a_i w_ij` from the quantized

@@ -439,18 +439,20 @@ impl Crossbar {
     }
 
     /// All source-line currents at once (one macro operation): a batch
-    /// of one through [`Crossbar::mac_currents_batch`], so bit-identical
-    /// to [`Crossbar::mac_currents_uncached`] by the snapshot's
-    /// construction contract.
+    /// of one through [`ConductanceKernel::mac_batch_into`], so
+    /// bit-identical to [`Crossbar::mac_currents_uncached`] by the
+    /// snapshot's construction contract.
     ///
     /// # Panics
     ///
     /// Panics if `v_inputs.len() != rows`.
     #[must_use]
     pub fn mac_currents(&self, v_inputs: &[Volts]) -> Vec<Amps> {
-        self.mac_currents_batch(&[v_inputs.to_vec()])
-            .pop()
-            .expect("a batch of one gives one output")
+        assert_eq!(v_inputs.len(), self.rows, "need one voltage per row");
+        let mut out = vec![0.0f64; self.cols];
+        self.conductance_snapshot()
+            .mac_batch_into(v_inputs, &mut out);
+        out.into_iter().map(Amps::new).collect()
     }
 
     /// Batched MAC: all source-line currents for a micro-batch of
@@ -560,16 +562,21 @@ impl Crossbar {
     }
 
     /// Energy dissipated in the array during one integration window:
-    /// `Σ V_i² · G_ij · T` (the source line sits at virtual ground). A
-    /// batch of one through [`Crossbar::array_energy_batch`].
+    /// `Σ_i V_i² · Σ_j G_ij · T` (the source line sits at virtual
+    /// ground), over the snapshot's row sums
+    /// ([`ConductanceKernel::power`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v_inputs.len() != rows`.
     #[must_use]
     pub fn array_energy(&self, v_inputs: &[Volts], t_integrate: Seconds) -> Joules {
-        self.array_energy_batch(&[v_inputs.to_vec()], t_integrate)[0]
+        assert_eq!(v_inputs.len(), self.rows, "need one voltage per row");
+        Joules::new(self.conductance_snapshot().power(v_inputs) * t_integrate.seconds())
     }
 
     /// Integration-window energies for a micro-batch of drive vectors,
-    /// each sample summed in `(r, c)` order into its own scalar
-    /// accumulator.
+    /// each sample's the same as [`Crossbar::array_energy`] gives.
     ///
     /// # Panics
     ///

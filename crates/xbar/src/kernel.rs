@@ -27,20 +27,32 @@
 //!
 //! # Bit-identity contract
 //!
-//! Per output column, every method accumulates `Σ_r v[r] · G_eff(r, c)`
-//! in **strictly increasing row order with the `v[r] == 0` skip**, the
-//! exact float-op sequence of the historical row-major loop and of the
-//! uncached oracle (`Crossbar::mac_currents_uncached`). Lanes are
-//! *independent columns*, so vectorizing across them reorders nothing
-//! within any column's sum; the batch kernel gives every `(sample,
-//! column)` pair its own accumulator, so interleaving samples reorders
-//! nothing either. The proptests in `crates/xbar/tests/proptests.rs`
-//! pin all three equivalences (cached == uncached, blocked == row
-//! reference, batched == sequential) bitwise.
+//! **MAC.** Per output column, every method accumulates
+//! `Σ_r v[r] · G_eff(r, c)` in **strictly increasing row order with the
+//! `v[r] == 0` skip**, the exact float-op sequence of the historical
+//! row-major loop and of the uncached oracle
+//! (`Crossbar::mac_currents_uncached`). Lanes are *independent
+//! columns*, so vectorizing across them reorders nothing within any
+//! column's sum; the batch kernel gives every `(sample, column)` pair
+//! its own accumulator, so interleaving samples reorders nothing
+//! either. The proptests in `crates/xbar/tests/proptests.rs` pin all
+//! three equivalences (cached == uncached, blocked == row reference,
+//! batched == sequential) bitwise.
 //!
-//! The padding lanes of a partial last panel hold `0.0` and their
-//! accumulator lanes are never copied out, so padding cannot leak into
-//! results.
+//! **Array power.** The kernel keeps one conductance sum per row,
+//! `S_r = Σ_c G_eff(r, c)`, added over the logical columns in
+//! increasing order when the kernel is (re)built, so it is invalidated
+//! with the conductances it sums. The power of a drive vector is
+//! `Σ_r V_r² · S_r`, in increasing `r` with the `V_r² == 0` skip: one
+//! multiply-add per row instead of one per cell. A batch is bitwise the
+//! same as its samples sent one at a time. This regroups the
+//! historical `(r, c)`-order cell sum `Σ_r Σ_c V_r² · G_eff(r, c)`, so
+//! the two agree to rounding, not bitwise; a proptest bounds the gap at
+//! 1e-12 relative under drift, stuck faults, spare remaps and IR drop.
+//!
+//! The padding lanes of a partial last panel hold `0.0`, their
+//! accumulator lanes are never copied out, and the row sums leave them
+//! out, so padding cannot leak into results.
 
 use afpr_circuit::units::Volts;
 
@@ -87,6 +99,9 @@ pub struct ConductanceKernel {
     panels: usize,
     /// `panels × rows × PANEL` entries, zero-padded in the last panel.
     data: Vec<f64>,
+    /// `S_r = Σ_c G_eff(r, c)` per row, logical columns in increasing
+    /// order (the array-power sum, see the module docs).
+    row_sums: Vec<f64>,
 }
 
 impl ConductanceKernel {
@@ -108,6 +123,7 @@ impl ConductanceKernel {
             cols,
             panels,
             data: vec![0.0f64; panels * rows * PANEL],
+            row_sums: vec![0.0f64; rows],
         };
         this.rebuild(g_eff);
         this
@@ -116,25 +132,28 @@ impl ConductanceKernel {
     /// Rebuilds the kernel **in place** from a fresh `g_eff`, reusing
     /// the existing allocation: same dimensions, same layout, and the
     /// same row-major per-cell call order as [`build`](Self::build).
-    /// Every logical cell is overwritten and padding lanes are already
-    /// zero, so the result is indistinguishable from a fresh build —
-    /// without paying an allocation (and its page faults) per rebuild
-    /// on the cold invalidate-every-read path.
+    /// Every logical cell and row sum is overwritten and padding lanes
+    /// are already zero, so the result is indistinguishable from a
+    /// fresh build — without paying an allocation (and its page faults)
+    /// per rebuild on the cold invalidate-every-read path.
     pub fn rebuild(&mut self, mut g_eff: impl FnMut(usize, usize) -> f64) {
         let stride = self.rows * PANEL;
-        for r in 0..self.rows {
+        for (r, row_sum) in self.row_sums.iter_mut().enumerate() {
             // Panel-sliced row sweep: columns still visited in
             // increasing order (`c = c0 + j`), but indexing is one
             // slice per panel row instead of a div/mod + bounds check
             // per cell, and stores are sequential within the slice.
+            let mut sum = 0.0f64;
             for p in 0..self.panels {
                 let c0 = p * PANEL;
                 let n = PANEL.min(self.cols - c0);
                 let base = p * stride + r * PANEL;
                 for (j, slot) in self.data[base..base + n].iter_mut().enumerate() {
                     *slot = g_eff(r, c0 + j);
+                    sum += *slot;
                 }
             }
+            *row_sum = sum;
         }
     }
 
@@ -170,7 +189,28 @@ impl ConductanceKernel {
 
     /// Batched GEMM: one panel-blocked pass over the conductance
     /// matrix computes `outs[s][c] = Σ_r vs[s][r] · G_eff(r, c)` for
-    /// every sample `s`.
+    /// every sample `s`: the sweep of
+    /// [`mac_batch_into`](Self::mac_batch_into), with one output `Vec`
+    /// per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `vs[s].len() != rows`.
+    #[must_use]
+    pub fn mac_batch(&self, vs: &[Vec<Volts>]) -> Vec<Vec<f64>> {
+        for v in vs {
+            assert_eq!(v.len(), self.rows, "need one input per row");
+        }
+        let mut outs = vec![vec![0.0f64; self.cols]; vs.len()];
+        self.sweep(vs.iter().map(Vec::as_slice), |s, c0, acc| {
+            outs[s][c0..c0 + acc.len()].copy_from_slice(acc);
+        });
+        outs
+    }
+
+    /// Batched GEMM into a caller slice: for a sample-major drive slab
+    /// of `B` rows of `rows` voltages, writes
+    /// `outs[s · cols + c] = Σ_r slab[s · rows + r] · G_eff(r, c)`.
     ///
     /// Panels are the outer loop and samples the middle loop, so one
     /// panel (`rows × PANEL` f64 — cache-resident) is swept by the
@@ -183,59 +223,90 @@ impl ConductanceKernel {
     ///
     /// # Panics
     ///
-    /// Panics if any `vs[s].len() != rows`.
-    #[must_use]
-    pub fn mac_batch(&self, vs: &[Vec<Volts>]) -> Vec<Vec<f64>> {
-        for v in vs {
-            assert_eq!(v.len(), self.rows, "need one input per row");
-        }
-        let mut outs = vec![vec![0.0f64; self.cols]; vs.len()];
+    /// Panics if `slab.len()` is not a multiple of `rows` or `outs` is
+    /// not `cols` per slab row.
+    pub fn mac_batch_into(&self, slab: &[Volts], outs: &mut [f64]) {
+        let batch = self.slab_rows(slab);
+        assert_eq!(outs.len(), batch * self.cols, "need one output per column");
+        let cols = self.cols;
+        self.sweep(slab.chunks_exact(self.rows), |s, c0, acc| {
+            let at = s * cols + c0;
+            outs[at..at + acc.len()].copy_from_slice(acc);
+        });
+    }
+
+    /// The MAC's panel loop: for each panel, sweeps every sample and
+    /// hands `emit(sample, first column, logical lanes)` the result.
+    fn sweep<'a, I>(&self, samples: I, mut emit: impl FnMut(usize, usize, &[f64]))
+    where
+        I: Iterator<Item = &'a [Volts]> + Clone,
+    {
         let stride = self.rows * PANEL;
         for p in 0..self.panels {
             let panel = &self.data[p * stride..(p + 1) * stride];
             let c0 = p * PANEL;
             let n = PANEL.min(self.cols - c0);
-            for (v, out) in vs.iter().zip(outs.iter_mut()) {
+            for (s, v) in samples.clone().enumerate() {
                 let acc = sweep_panel(panel, v);
-                out[c0..c0 + n].copy_from_slice(&acc[..n]);
+                emit(s, c0, &acc[..n]);
             }
         }
-        outs
     }
 
-    /// Array power under each drive vector, one per sample:
-    /// `Σ_r Σ_c V_s[r]² · G_eff(r, c)` accumulated in row-major
-    /// `(r, c)` order with the `V_s[r]² == 0` skip — the exact float-op
-    /// sequence of the historical `array_energy` loop (the scalar
-    /// accumulator makes the order load-bearing). Zero rows are skipped
-    /// whole, and padding lanes are never summed.
+    /// Rows of a sample-major drive slab.
+    fn slab_rows(&self, slab: &[Volts]) -> usize {
+        assert!(
+            slab.len().is_multiple_of(self.rows),
+            "need one input per row"
+        );
+        slab.len() / self.rows
+    }
+
+    /// Array power under one drive vector, `Σ_r V_r² · S_r` over the
+    /// row sums, in increasing row order with the `V_r² == 0` skip
+    /// (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != rows`.
+    #[must_use]
+    pub fn power(&self, v: &[Volts]) -> f64 {
+        assert_eq!(v.len(), self.rows, "need one input per row");
+        let mut total = 0.0f64;
+        for (vr, s) in v.iter().zip(&self.row_sums) {
+            let wr = vr.volts() * vr.volts();
+            if wr == 0.0 {
+                continue;
+            }
+            total += wr * s;
+        }
+        total
+    }
+
+    /// Array power under each drive vector, one per sample
+    /// ([`power`](Self::power) each).
     ///
     /// # Panics
     ///
     /// Panics if any `vs[s].len() != rows`.
     #[must_use]
     pub fn power_batch(&self, vs: &[Vec<Volts>]) -> Vec<f64> {
-        let stride = self.rows * PANEL;
-        vs.iter()
-            .map(|v| {
-                assert_eq!(v.len(), self.rows, "need one input per row");
-                let mut total = 0.0f64;
-                for (r, vr) in v.iter().enumerate() {
-                    let wr = vr.volts() * vr.volts();
-                    if wr == 0.0 {
-                        continue;
-                    }
-                    for p in 0..self.panels {
-                        let n = PANEL.min(self.cols - p * PANEL);
-                        let g = &self.data[p * stride + r * PANEL..p * stride + r * PANEL + n];
-                        for gi in g {
-                            total += wr * gi;
-                        }
-                    }
-                }
-                total
-            })
-            .collect()
+        vs.iter().map(|v| self.power(v)).collect()
+    }
+
+    /// [`power_batch`](Self::power_batch) into a caller slice, for a
+    /// sample-major drive slab: `outs[s]` is the power of slab row `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slab.len()` is not a multiple of `rows` or `outs` is
+    /// not one per slab row.
+    pub fn power_batch_into(&self, slab: &[Volts], outs: &mut [f64]) {
+        let batch = self.slab_rows(slab);
+        assert_eq!(outs.len(), batch, "need one output per drive row");
+        for (v, out) in slab.chunks_exact(self.rows).zip(outs) {
+            *out = self.power(v);
+        }
     }
 
     /// Sum of one column's effective conductances, accumulated in
@@ -351,6 +422,8 @@ mod tests {
 
     #[test]
     fn power_matches_scalar_reference_bitwise() {
+        // The row-sum order: `Σ_r V_r² · S_r`, `S_r` summed over the
+        // logical columns in increasing order.
         let (rows, cols) = (11, PANEL * 2 + 1);
         let k = ConductanceKernel::build(rows, cols, g);
         let v = input(rows, 3);
@@ -360,9 +433,11 @@ mod tests {
             if wr == 0.0 {
                 continue;
             }
+            let mut s_r = 0.0f64;
             for c in 0..cols {
-                want += wr * g(r, c);
+                s_r += g(r, c);
             }
+            want += wr * s_r;
         }
         let one = k.power_batch(std::slice::from_ref(&v));
         assert_eq!(one[0].to_bits(), want.to_bits());
@@ -376,6 +451,21 @@ mod tests {
                 "sample {s}"
             );
         }
+    }
+
+    #[test]
+    fn into_forms_match_the_allocating_forms_bitwise() {
+        let (rows, cols) = (13, PANEL + 7);
+        let k = ConductanceKernel::build(rows, cols, g);
+        let vs: Vec<Vec<Volts>> = (0..3).map(|s| input(rows, s)).collect();
+        let slab: Vec<Volts> = vs.concat();
+        let mut macs = vec![f64::NAN; vs.len() * cols];
+        let mut powers = vec![f64::NAN; vs.len()];
+        k.mac_batch_into(&slab, &mut macs);
+        k.power_batch_into(&slab, &mut powers);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&macs), bits(&k.mac_batch(&vs).concat()));
+        assert_eq!(bits(&powers), bits(&k.power_batch(&vs)));
     }
 
     #[test]

@@ -74,12 +74,25 @@ impl PartialSumAdder {
         };
         out.extend_from_slice(first);
         for part in &parts[1..] {
-            assert_eq!(part.len(), out.len(), "partial sums must have equal length");
-            for (a, p) in out.iter_mut().zip(*part) {
-                *a += *p;
-            }
-            self.adds += out.len() as u64;
+            self.accumulate(out, part);
         }
+    }
+
+    /// One step of the left fold: `acc[i] += part[i]` for every
+    /// element, accounted as `part.len()` scalar additions. Folding
+    /// `p₁, p₂, …` onto a copy of `p₀` this way gives the same bits and
+    /// the same energy as [`PartialSumAdder::sum_into`] on the same
+    /// parts, also when each part is added one column range at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` and `part` have unequal lengths.
+    pub fn accumulate(&mut self, acc: &mut [f32], part: &[f32]) {
+        assert_eq!(part.len(), acc.len(), "partial sums must have equal length");
+        for (a, p) in acc.iter_mut().zip(part) {
+            *a += *p;
+        }
+        self.adds += part.len() as u64;
     }
 
     /// Number of scalar additions performed so far.

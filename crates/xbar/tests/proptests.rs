@@ -5,6 +5,7 @@ use afpr_device::{DeviceConfig, FaultKind};
 use afpr_num::FpFormat;
 use afpr_xbar::cim_macro::CimMacro;
 use afpr_xbar::crossbar::Crossbar;
+use afpr_xbar::ir_drop::IrDropModel;
 use afpr_xbar::mapping::map_weights;
 use afpr_xbar::quant::FpActQuantizer;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
@@ -245,6 +246,71 @@ proptest! {
                     "cached sample {} col {} diverges from oracle", s, c
                 );
             }
+        }
+    }
+
+    /// The array energy regroups the cell sum into per-row conductance
+    /// sums, `Σ_r V_r² · S_r`. It stays within 1e-12 relative of the
+    /// historical `(r, c)`-order sum `Σ_r Σ_c V_r² · G(r, c)` over the
+    /// uncached per-cell conductances, under drift, stuck faults, a
+    /// spare remap and IR drop, and a batch is bitwise the same as its
+    /// samples one at a time. 40 columns leave a padded last panel.
+    #[test]
+    fn row_sum_energy_tracks_cell_order_sum(
+        levels in prop::collection::vec(0u32..32, 24 * 40),
+        fault_codes in prop::collection::vec(0u32..1920, 0..12),
+        age_s in 1.0f64..1.0e7,
+        victim in 0usize..40,
+        r_wire in 0.0f64..5.0,
+        seed in 0u64..1024,
+        scale in 0.05f64..0.5,
+    ) {
+        let (rows, cols) = (24, 40);
+        let mut dev = DeviceConfig::realistic(32);
+        dev.drift_nu = 0.02;
+        let mut xb = Crossbar::with_spares(rows, cols, 1, dev);
+        let mut rng = StdRng::seed_from_u64(seed);
+        xb.program_levels(&levels, &mut rng);
+        for &code in &fault_codes {
+            let (cell, lrs) = ((code / 2) as usize, code % 2);
+            let kind = if lrs == 1 { FaultKind::StuckLrs } else { FaultKind::StuckHrs };
+            xb.set_fault(cell / cols, cell % cols, Some(kind));
+        }
+        xb.set_age(Seconds::new(age_s));
+        xb.remap_column(victim, &mut rng).expect("a spare is available");
+        xb.set_ir_drop(IrDropModel::new(r_wire));
+
+        let t = Seconds::from_nano(100.0);
+        let vs: Vec<Vec<Volts>> = (0..3)
+            .map(|s| {
+                (0..rows)
+                    .map(|r| match (r + s) % 5 {
+                        0 => Volts::ZERO,
+                        1 => Volts::new(-scale * (r + 1) as f64 / rows as f64),
+                        _ => Volts::new(scale * ((r * 7 + s * 3) % 11) as f64 / 11.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let batch = xb.array_energy_batch(&vs, t);
+        for (s, v) in vs.iter().enumerate() {
+            let mut cell_order = 0.0f64;
+            for (r, vr) in v.iter().enumerate() {
+                let wr = vr.volts() * vr.volts();
+                if wr == 0.0 {
+                    continue;
+                }
+                for c in 0..cols {
+                    cell_order += wr * xb.conductance(r, c);
+                }
+            }
+            let want = cell_order * t.seconds();
+            let got = xb.array_energy(v, t).joules();
+            prop_assert_eq!(got.to_bits(), batch[s].joules().to_bits(), "sample {}", s);
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "sample {}: row sums {} vs cell order {}", s, got, want
+            );
         }
     }
 

@@ -12,9 +12,10 @@ fn main() {
     let adc = FpAdc::new(FpAdcConfig::e2m5_paper());
 
     for i_ua in [1.5, 2.6, 5.38, 12.0] {
-        let r = adc.convert(Amps::from_micro(i_ua));
+        let transient = adc.transient(Amps::from_micro(i_ua));
+        let r = &transient.result;
         println!("I_MAC = {i_ua} µA");
-        render(&r.waveform);
+        render(&transient.waveform);
         match r.code {
             Some(code) => println!(
                 "  -> {} adjustments, V_M = {:.3} V, code {} (value {:.4})\n",

@@ -1,11 +1,14 @@
-//! The compute oracles, run by `cargo test -q`: the crossbar and macro
-//! property suite (cached vs uncached, batched vs sequential), and the
-//! accelerator's engine, batched, energy and chaos bit-identity suites.
-//! Each module compiles its crate's own test file in place, so there is
-//! no copy to drift.
+//! The compute oracles, run by `cargo test -q`: the FP-ADC's decision
+//! path against its recording path, the crossbar and macro property
+//! suite (cached vs uncached, batched vs sequential, row-sum vs
+//! cell-order array energy), and the accelerator's engine, batched,
+//! energy and chaos bit-identity suites. Each module compiles its
+//! crate's own test file in place, so there is no copy to drift.
 
 #[path = "../crates/core/tests/chaos_determinism.rs"]
 mod chaos_determinism;
+#[path = "../crates/circuit/tests/fp_adc_paths.rs"]
+mod circuit_fp_adc_paths;
 #[path = "../crates/core/tests/energy_sanity.rs"]
 mod energy_sanity;
 #[path = "../crates/core/tests/parallel_determinism.rs"]
