@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use afpr_models::ModelEntrySnapshot;
 use afpr_power::EnergyRoutingPolicy;
@@ -636,7 +636,10 @@ impl BackendPool {
 /// contract**, and ejecting ones whose probes fail. `notify` runs
 /// after any pass in which some backend's eligibility changed (the
 /// router rebalances its placement on that signal). The thread exits
-/// when `stop` returns `true`.
+/// when `stop` returns `true`. Between passes it parks until the next
+/// one is due, checking `stop` whenever it wakes: a caller that makes
+/// `stop` true and then unparks the returned handle's thread ends the
+/// wait at once.
 pub fn spawn_prober<F, N>(
     pool: BackendPool,
     interval: Duration,
@@ -671,12 +674,14 @@ where
                 if changed {
                     notify();
                 }
-                // Sleep in short slices so shutdown is prompt.
-                let mut remaining = interval;
-                while !remaining.is_zero() && !stop() {
-                    let slice = remaining.min(Duration::from_millis(20));
-                    thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
+                // Park until the next pass; a drain unparks us.
+                let due = Instant::now() + interval;
+                while !stop() {
+                    let left = due.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        break;
+                    }
+                    thread::park_timeout(left);
                 }
             }
         })

@@ -56,7 +56,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, SENTINEL_BASE};
+use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, WakerSource, SENTINEL_BASE};
 use afpr_runtime::RejectReason;
 use afpr_serve::protocol;
 use afpr_serve::{Encoding, Op, Request, Response, Status, PROTOCOL_VERSION};
@@ -71,6 +71,8 @@ use crate::router::{
 
 /// Token the listener is registered under.
 pub(crate) const LISTENER_TOKEN: u64 = SENTINEL_BASE;
+/// Token the drain waker's receive half is registered under.
+pub(crate) const WAKER_TOKEN: u64 = SENTINEL_BASE + 1;
 
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 const SWEEP_PERIOD: Duration = Duration::from_millis(10);
@@ -206,9 +208,15 @@ struct EventRouter<'a> {
     clients: usize,
 }
 
-/// Runs the event loop until shutdown completes. The listener must
-/// already be registered under [`LISTENER_TOKEN`].
-pub(crate) fn run(shared: &RouterShared, listener: &TcpListener, poller: &Poller) {
+/// Runs the event loop until shutdown completes. The listener and the
+/// drain waker's receive half must already be registered under
+/// [`LISTENER_TOKEN`] and [`WAKER_TOKEN`].
+pub(crate) fn run(
+    shared: &RouterShared,
+    listener: &TcpListener,
+    poller: &Poller,
+    waker: &WakerSource,
+) {
     let mut er = EventRouter {
         shared,
         poller,
@@ -229,10 +237,10 @@ pub(crate) fn run(shared: &RouterShared, listener: &TcpListener, poller: &Poller
             continue;
         }
         for ev in events.iter() {
-            if ev.token == LISTENER_TOKEN {
-                er.accept_ready(listener, !draining);
-            } else {
-                er.handle_conn_event(ev);
+            match ev.token {
+                LISTENER_TOKEN => er.accept_ready(listener, !draining),
+                WAKER_TOKEN => waker.drain(),
+                _ => er.handle_conn_event(ev),
             }
         }
         let now = Instant::now();

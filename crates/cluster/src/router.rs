@@ -75,8 +75,8 @@
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use afpr_models::ModelEntrySnapshot;
@@ -266,10 +266,14 @@ pub(crate) struct RouterShared {
     /// only) — agreement was verified at startup, so the router
     /// re-advertises it on its own `health` op.
     catalog_seed: Option<u64>,
-    /// Ends the blocking transport's acceptor wait so a drain stops it
-    /// at once (`None` on the reactor transport, or where the acceptor
-    /// has no readiness wait).
-    accept_waker: Option<afpr_reactor::Waker>,
+    /// Wakes the thread that owns the listener, the blocking
+    /// transport's acceptor or the reactor's event loop, so a drain
+    /// stops it at once (`None` where the blocking acceptor has no
+    /// readiness wait).
+    drain_waker: Option<afpr_reactor::Waker>,
+    /// The health prober's thread, unparked by a drain so its wait
+    /// between passes ends at once (set once it is spawned).
+    prober: OnceLock<Thread>,
 }
 
 /// One atomically-swapped generation of placement state. Scatter
@@ -291,8 +295,11 @@ impl RouterShared {
 
     pub(crate) fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
-        if let Some(w) = &self.accept_waker {
+        if let Some(w) = &self.drain_waker {
             w.wake();
+        }
+        if let Some(prober) = self.prober.get() {
+            prober.unpark();
         }
     }
 
@@ -526,11 +533,16 @@ impl Router {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (accept_wait, accept_waker) = if cfg.transport == Transport::Reactor {
-            (None, None)
+        let (accept_wait, drain_waker, reactor_io) = if cfg.transport == Transport::Reactor {
+            let (waker, source) = afpr_reactor::waker_pair()?;
+            let poller = afpr_reactor::Poller::new()?;
+            let readable = afpr_reactor::Interest::READABLE;
+            poller.register(&listener, crate::event_router::LISTENER_TOKEN, readable)?;
+            poller.register(&source, crate::event_router::WAKER_TOKEN, readable)?;
+            (None, Some(waker), Some((poller, source)))
         } else {
             let (wait, waker) = afpr_reactor::AcceptWait::new(&listener);
-            (Some(wait), waker)
+            (Some(wait), waker, None)
         };
 
         let shared = Arc::new(RouterShared {
@@ -548,7 +560,8 @@ impl Router {
             expected,
             catalog,
             catalog_seed,
-            accept_waker,
+            drain_waker,
+            prober: OnceLock::new(),
         });
         // Initial placement (epoch 1 in sharded mode). All backends
         // just answered the startup probe, so every slot is eligible.
@@ -577,35 +590,26 @@ impl Router {
             )
         };
         let prober = match prober {
-            Ok(h) => h,
+            Ok(h) => {
+                let _ = shared.prober.set(h.thread().clone());
+                h
+            }
             Err(e) => {
                 shared.begin_shutdown();
                 return Err(e);
             }
         };
 
-        let (acceptor, workers) = if shared.cfg.transport == Transport::Reactor {
+        let (acceptor, workers) = if let Some((poller, waker)) = reactor_io {
             // One event loop owns the listener, every client socket and
             // the pooled upstream connections; no per-connection thread.
-            let poller = match afpr_reactor::Poller::new().and_then(|p| {
-                p.register(
-                    &listener,
-                    crate::event_router::LISTENER_TOKEN,
-                    afpr_reactor::Interest::READABLE,
-                )?;
-                Ok(p)
-            }) {
-                Ok(p) => p,
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
-            };
             let spawned = {
                 let shared_ev = Arc::clone(&shared);
                 thread::Builder::new()
                     .name("afpr-cluster-reactor".into())
-                    .spawn(move || crate::event_router::run(&shared_ev, &listener, &poller))
+                    .spawn(move || {
+                        crate::event_router::run(&shared_ev, &listener, &poller, &waker);
+                    })
             };
             match spawned {
                 Ok(h) => (h, Vec::new()),

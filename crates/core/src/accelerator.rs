@@ -17,6 +17,7 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LayerHandle(usize);
 
+#[derive(Clone)]
 struct MappedLayer {
     tiled: TiledMatrix,
     /// One macro per tile, `(row_tile, col_tile)` row-major.
@@ -38,6 +39,11 @@ struct MappedLayer {
 /// let y = accel.matvec(layer, &vec![0.5f32; 8]);
 /// assert_eq!(y.len(), 3);
 /// ```
+///
+/// A clone is an independent accelerator with the same cells, mismatch
+/// samples, RNG states, calibrated ranges and counters; it shares the
+/// warm conductance snapshots, so it builds no kernel.
+#[derive(Clone)]
 pub struct AfprAccelerator {
     base: MacroSpec,
     seed: u64,

@@ -112,7 +112,7 @@ impl ChaosStats {
 
 /// Applies a [`ChaosConfig`] to an accelerator on a tick cadence,
 /// using a private RNG stream so compute determinism is preserved.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChaosController {
     cfg: ChaosConfig,
     rng: StdRng,

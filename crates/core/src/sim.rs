@@ -167,6 +167,10 @@ pub(crate) fn reference(step: &Step<'_>, x: Tensor) -> Tensor {
 /// let y = sim.forward(&model, &x);
 /// assert_eq!(y.shape(), &[4]);
 /// ```
+///
+/// Cloning copies the accelerator (see [`AfprAccelerator`]), the DPU
+/// counters and any attached chaos controller, RNG included.
+#[derive(Clone)]
 pub struct MacroModelSim {
     accel: AfprAccelerator,
     /// One handle per tile step, in plan order.

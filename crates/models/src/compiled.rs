@@ -1,5 +1,7 @@
 //! A named network compiled onto CIM macros, ready to serve.
 
+use std::sync::Arc;
+
 use afpr_circuit::energy::MacroEnergyBreakdown;
 use afpr_circuit::units::Joules;
 use afpr_core::sim::MacroModelSim;
@@ -77,7 +79,8 @@ pub struct ModelEntrySnapshot {
     pub output_len: u64,
     /// Whether the compiled model is currently resident.
     pub resident: bool,
-    /// Times this entry was compiled (first load + re-loads).
+    /// Times this entry was loaded (first load + re-loads after
+    /// eviction), whether compiled or copied from its template.
     pub loads: u64,
     /// Times this entry was LRU-evicted.
     pub evictions: u64,
@@ -114,9 +117,16 @@ impl std::ops::AddAssign for ModelEnergy {
 /// One network compiled onto CIM macros: the FP32 reference
 /// [`Sequential`], its [`MacroModelSim`], and the activation shape at
 /// every top-level layer boundary (for streaming validation).
+///
+/// A clone is an independent model: it shares the immutable FP32
+/// network and the warm conductance snapshots, and copies everything
+/// serving mutates (macro RNG states, counters, scratch). A clone of a
+/// never-served model therefore serves bit-identically to a fresh
+/// [`load`](Self::load) of the same spec, and builds no kernel.
+#[derive(Clone)]
 pub struct CompiledModel {
     spec: ModelSpec,
-    model: Sequential,
+    model: Arc<Sequential>,
     sim: MacroModelSim,
     /// `boundary_shapes[i]` is the activation shape *entering*
     /// top-level layer `i`; the final entry is the output shape
@@ -166,7 +176,7 @@ impl CompiledModel {
         }
         Self {
             spec,
-            model,
+            model: Arc::new(model),
             sim,
             boundary_shapes,
             weight_bytes: params * 4,
@@ -233,7 +243,8 @@ impl CompiledModel {
 
     /// Cumulative conductance-kernel builds across the model's macros
     /// (≥ 2 per macro after [`load`](Self::load), since warming builds
-    /// both differential arrays).
+    /// both differential arrays). A clone starts at its source's
+    /// count.
     #[must_use]
     pub fn kernel_builds(&self) -> u64 {
         self.sim.accelerator().kernel_builds()

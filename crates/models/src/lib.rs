@@ -17,7 +17,9 @@
 //!   range (the pipeline-parallel building block).
 //! - [`ModelRegistry`] ([`registry`]): a thread-safe, capacity-bounded
 //!   registry keyed by `(model, format)`. Models load lazily on first
-//!   use, cold models are LRU-evicted, and per-model statistics
+//!   use, cold models are LRU-evicted, a key re-loaded after eviction
+//!   keeps a never-served template that its later loads copy instead
+//!   of recompiling, and per-model statistics
 //!   (loads, evictions, inference counts, macro/weight footprint)
 //!   survive eviction and are exported as a serializable
 //!   [`RegistrySnapshot`] for the serving tier's observability.

@@ -4,13 +4,23 @@
 //! ([`ModelKind::ALL`] × [`crate::spec::ALL_FORMATS`]), so the registry
 //! pre-creates one entry per pair and statistics survive eviction.
 //!
+//! Loads and templates: a compile is a pure function of the key and
+//! the registry seed, so a key is compiled at most twice. Its first
+//! load compiles. Its first re-load after an eviction compiles again
+//! and keeps a never-served clone of the result as the key's
+//! *template*; every later load clones the template, which copies the
+//! programmed cells, RNG states and calibrated ranges and shares the
+//! warm conductance snapshots. A registry whose working set fits its
+//! capacity never re-loads, so it keeps no template.
+//!
 //! Locking protocol (deadlock-free by construction):
 //! 1. the `inner` mutex guards only registry *state* and is never held
-//!    across a compile or an inference;
+//!    across a compile, a template copy or an inference;
 //! 2. each resident model sits behind its own mutex, locked only after
-//!    `inner` is released;
+//!    `inner` is released; templates have no mutex, as nothing mutates
+//!    them;
 //! 3. loads in progress are marked `Loading` and announced on a condvar
-//!    so concurrent users of the same key wait instead of compiling
+//!    so concurrent users of the same key wait instead of loading
 //!    twice — and never observe a half-compiled model.
 
 use std::sync::Arc;
@@ -25,7 +35,10 @@ use crate::spec::{format_from_wire, format_wire_name, ModelKind, ModelSpec, ALL_
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryConfig {
     /// Maximum number of resident compiled models; loading one more
-    /// LRU-evicts the coldest. Clamped to ≥ 1.
+    /// LRU-evicts the coldest. Clamped to ≥ 1. Each key re-loaded after
+    /// an eviction also keeps one never-served template (see the
+    /// [module docs](self)), so a registry that churns holds up to
+    /// `capacity` serving models plus one template per churned key.
     pub capacity: usize,
     /// Weight/macro-programming seed shared by every model the
     /// registry compiles — two registries with equal seeds hold
@@ -50,6 +63,24 @@ impl RegistryConfig {
     }
 }
 
+/// Wire-compat module: deserializes a missing (`null`) field as `0`,
+/// so snapshots emitted before the field existed still parse.
+mod u64_zero {
+    use serde::{de, Deserializer, Serialize, Serializer, Value};
+
+    pub fn serialize<S: Serializer>(v: &u64, s: S) -> Result<S::Ok, S::Error> {
+        v.serialize(s)
+    }
+
+    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<u64, D::Error> {
+        match d.take_value()? {
+            Value::Null => Ok(0),
+            other => serde::de::from_value(other)
+                .map_err(|e| <D::Error as de::Error>::custom(e.to_string())),
+        }
+    }
+}
+
 /// Serializable registry state for `ServeMetrics` / `HealthInfo`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RegistrySnapshot {
@@ -57,12 +88,18 @@ pub struct RegistrySnapshot {
     pub capacity: u64,
     /// Currently resident models.
     pub resident: u64,
-    /// Total compiles (first loads + re-loads after eviction).
+    /// Total loads (first loads + re-loads after eviction).
     pub loads: u64,
+    /// Loads that ran the compiler: each key's first load and first
+    /// re-load. `loads - compiles` loads were copied from a template.
+    /// Absent in older snapshots, where it reads as 0.
+    #[serde(with = "u64_zero")]
+    pub compiles: u64,
     /// Total LRU evictions.
     pub evictions: u64,
     /// Total conductance-kernel builds performed by loads (monotone;
-    /// grows on every re-load, proving kernels are re-warmed).
+    /// grows on every compile, proving kernels are re-warmed; a
+    /// template copy carries warm kernels and builds none).
     pub kernel_builds: u64,
     /// One entry per `(model, format)` pair, including never-loaded
     /// ones (static shape facts are always filled).
@@ -79,6 +116,9 @@ struct Entry {
     kind: ModelKind,
     mode: afpr_xbar::spec::MacroMode,
     slot: Slot,
+    /// Never-served clone of the key's first re-load; later loads copy
+    /// it. Never handed out and never mutated.
+    template: Option<Arc<CompiledModel>>,
     loads: u64,
     evictions: u64,
     infers: u64,
@@ -93,6 +133,7 @@ struct Inner {
     /// first.
     lru: Vec<usize>,
     loads: u64,
+    compiles: u64,
     evictions: u64,
     kernel_builds: u64,
 }
@@ -134,6 +175,7 @@ impl ModelRegistry {
                     kind,
                     mode,
                     slot: Slot::Unloaded,
+                    template: None,
                     loads: 0,
                     evictions: 0,
                     infers: 0,
@@ -148,6 +190,7 @@ impl ModelRegistry {
                 entries,
                 lru: Vec::new(),
                 loads: 0,
+                compiles: 0,
                 evictions: 0,
                 kernel_builds: 0,
             }),
@@ -173,9 +216,10 @@ impl ModelRegistry {
 
     /// Returns the resident compiled model for `(kind, mode)`, loading
     /// (and possibly LRU-evicting another model) if needed. Concurrent
-    /// callers for the same key block until the single in-flight
-    /// compile finishes — a model is observable only fully compiled,
-    /// calibrated, and kernel-warmed.
+    /// callers for the same key block until the single in-flight load
+    /// finishes — a model is observable only fully compiled,
+    /// calibrated, and kernel-warmed. A load compiles, or copies the
+    /// key's template (see the [module docs](self)).
     pub fn get_or_load(
         &self,
         kind: ModelKind,
@@ -183,8 +227,9 @@ impl ModelRegistry {
     ) -> Arc<Mutex<CompiledModel>> {
         let idx = Self::index_of(kind, mode);
         let mut inner = self.inner.lock();
-        loop {
-            match &inner.entries[idx].slot {
+        let (template, reload) = loop {
+            let e = &inner.entries[idx];
+            match &e.slot {
                 Slot::Ready(model) => {
                     let model = Arc::clone(model);
                     // Touch: move to most-recently-used position.
@@ -194,29 +239,44 @@ impl ModelRegistry {
                 }
                 Slot::Loading => self.cond.wait(&mut inner),
                 Slot::Unloaded => {
+                    let found = (e.template.clone(), e.loads > 0);
                     inner.entries[idx].slot = Slot::Loading;
-                    break;
+                    break found;
                 }
             }
-        }
+        };
         drop(inner);
 
-        // Compile outside the registry lock (other keys stay usable).
-        let compiled = CompiledModel::load(ModelSpec::new(kind, mode, self.cfg.seed));
-        let builds = compiled.kernel_builds();
-        let macros = compiled.macro_count() as u64;
-        let weight_bytes = compiled.weight_bytes();
-        let model = Arc::new(Mutex::new(compiled));
+        // Compile or copy outside the registry lock (other keys stay
+        // usable). A copy's kernel-build count starts at its
+        // template's, so only the builds it performs are credited.
+        let compile = template.is_none();
+        let base_builds = template.as_ref().map_or(0, |t| t.kernel_builds());
+        let loaded = match &template {
+            Some(template) => CompiledModel::clone(template),
+            None => CompiledModel::load(ModelSpec::new(kind, mode, self.cfg.seed)),
+        };
+        let builds = loaded.kernel_builds() - base_builds;
+        // The first re-load keeps a clone taken before this instance
+        // serves anything.
+        let new_template = (compile && reload).then(|| Arc::new(loaded.clone()));
+        let macros = loaded.macro_count() as u64;
+        let weight_bytes = loaded.weight_bytes();
+        let model = Arc::new(Mutex::new(loaded));
 
         let mut inner = self.inner.lock();
         {
             let e = &mut inner.entries[idx];
             e.slot = Slot::Ready(Arc::clone(&model));
+            if let Some(template) = new_template {
+                e.template = Some(template);
+            }
             e.loads += 1;
             e.macros = macros;
             e.weight_bytes = weight_bytes;
         }
         inner.loads += 1;
+        inner.compiles += u64::from(compile);
         inner.kernel_builds += builds;
         inner.lru.push(idx);
         let capacity = self.cfg.capacity.max(1);
@@ -370,6 +430,7 @@ impl ModelRegistry {
             capacity: self.cfg.capacity.max(1) as u64,
             resident: inner.lru.len() as u64,
             loads: inner.loads,
+            compiles: inner.compiles,
             evictions: inner.evictions,
             kernel_builds: inner.kernel_builds,
             models,
@@ -471,6 +532,25 @@ mod tests {
             reg.infer_range("tiny-mlp", "e2m5", &x, Some(0), Some(99)),
             Err(InferError::BadLayerRange { .. })
         ));
+    }
+
+    #[test]
+    fn snapshots_without_compiles_read_as_zero() {
+        let reg = ModelRegistry::new(RegistryConfig::new(1, 1));
+        let _ = reg.get_or_load(ModelKind::TinyMlp, MacroMode::Int8);
+        let snap = reg.snapshot();
+        assert_eq!(snap.compiles, 1);
+        let json = serde_json::to_string(&snap).unwrap();
+        let old = json.replace("\"compiles\":1,", "");
+        assert_ne!(old, json, "the field was serialized");
+        let parsed: RegistrySnapshot = serde_json::from_str(&old).unwrap();
+        assert_eq!(
+            parsed,
+            RegistrySnapshot {
+                compiles: 0,
+                ..snap
+            }
+        );
     }
 
     #[test]

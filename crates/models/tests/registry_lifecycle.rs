@@ -98,6 +98,9 @@ fn concurrent_load_and_infer_is_safe() {
     // Single-flight loading: loads can exceed 3 (evict churn) but a
     // load happened for every eviction plus the resident one.
     assert_eq!(snap.loads, snap.evictions + 1);
+    // Each key compiles at most twice (first load, first re-load);
+    // every later load copies its template.
+    assert!(snap.compiles <= 6, "{} compiles", snap.compiles);
 }
 
 #[test]
