@@ -1,39 +1,23 @@
-//! Event-driven router core (the `reactor` transport).
+//! Event-driven router transport (the `reactor` transport).
 //!
 //! One thread owns the listener, every client socket and a bounded
 //! pool of upstream connections per backend, all multiplexed over one
-//! `afpr_reactor::Poller`. Requests run as small state machines:
+//! `afpr_reactor::Poller`. Each compute request runs as a
+//! [`crate::dispatch`] machine, the same one the blocking workers
+//! drive; this module carries its sub-calls:
 //!
 //! ```text
-//!  client frame ──▶ admit ──▶ Machine::{Single, Scatter, Pipeline}
-//!                               │ sub-calls borrow upstream conns
-//!                               ▼
-//!                    upstream response / transport failure
+//!  client frame ──▶ admit ──▶ Machine ──Send──▶ sub-call borrows an upstream conn
+//!                               ▲                          │
+//!                               └── on_response / on_transport_fail
 //!                               │
-//!                               ▼
-//!                    complete → client FIFO queue → flush
+//!                             Done ──▶ client FIFO queue ──▶ flush
 //! ```
 //!
-//! * **Single** forwards to the least-outstanding live replica and
-//!   re-dispatches on transport failure within the caller's deadline
-//!   (replicated placement, and non-`infer` ops under pipeline
-//!   placement).
-//! * **Scatter** fans one `matvec` out as `matvec_partial` to the
-//!   least-outstanding healthy replica of every shard *concurrently*,
-//!   gathers the per-tile partials by shard position and reduces them
-//!   with the same left fold as the blocking path — bit-identity is
-//!   untouched by arrival order because the fold happens only once all
-//!   shards are in, in shard order. Each round captures the placement
-//!   plan `Arc` at round start, so a concurrent rebalance can never
-//!   split a round across two plans; a replica dying mid-round is
-//!   ejected and its shard re-dispatched to a sibling within the
-//!   caller's deadline. `forward_batch` runs its scatter rounds
-//!   strictly in input order (one round in flight at a time) to keep
-//!   every backend macro's RNG stream aligned with the single-node
-//!   path.
-//! * **Pipeline** streams `infer` activations stage to stage; stages
-//!   are inherently sequential, but many pipelined requests progress
-//!   concurrently on one core.
+//! A scatter round's shards compute concurrently and are gathered as
+//! they arrive; the machine reduces only once every shard is in, in
+//! shard order, so arrival order cannot perturb bit-identity. Many
+//! requests progress concurrently on one core.
 //!
 //! Invariants shared with `afpr_serve`'s event server: responses per
 //! client connection are released strictly in request order; readable
@@ -53,21 +37,14 @@
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, WakerSource, SENTINEL_BASE};
-use afpr_runtime::RejectReason;
 use afpr_serve::protocol;
-use afpr_serve::{Encoding, Op, Request, Response, Status, PROTOCOL_VERSION};
-use afpr_xbar::PartialSumAdder;
+use afpr_serve::{Encoding, Op, Request, Response, Status};
 
-use crate::plan::{PipelinePlan, ReplicatedShardPlan};
-use crate::router::{
-    attempt_timeout, deadline_expired, handle_deregister, handle_register, no_shard_capacity,
-    parse_deadline, remaining_ms, shard_unavailable, validate_pipeline, ClusterConfig,
-    PipelineCall, Placement, RouterShared, SHARDED_INFER_REJECTION, SHARDED_PARTIAL_REJECTION,
-};
+use crate::dispatch::{admit, Admit, Machine, Step};
+use crate::router::{ClusterConfig, RouterShared};
 
 /// Token the listener is registered under.
 pub(crate) const LISTENER_TOKEN: u64 = SENTINEL_BASE;
@@ -123,58 +100,10 @@ struct SubTag {
     shard: usize,
 }
 
-enum Machine {
-    /// Replicated forwarding with health-aware failover.
-    Single {
-        client: u64,
-        req: Request,
-        deadline: Option<Instant>,
-        /// Slots already tried (and ejected) by this request; the pool
-        /// can grow concurrently, so exclusion is a slot list, not a
-        /// bitmap sized at entry.
-        excluded: Vec<usize>,
-    },
-    /// Sharded scatter-gather; `forward_batch` = sequential rounds.
-    Scatter {
-        client: u64,
-        id: u64,
-        op: Op,
-        deadline: Option<Instant>,
-        inputs: Vec<Vec<f32>>,
-        round: usize,
-        outputs: Vec<Vec<f32>>,
-        /// The plan this round dispatches on, captured at round start —
-        /// a concurrent rebalance swaps the *next* round's plan, never
-        /// this one's.
-        plan: Option<Arc<ReplicatedShardPlan>>,
-        /// Gathered partials, by shard position in the plan.
-        parts: Vec<Option<Vec<Vec<f32>>>>,
-        /// Replicas already tried (and ejected) per shard this round.
-        tried: Vec<Vec<usize>>,
-        /// Shards of the current round not yet resolved.
-        outstanding: usize,
-    },
-    /// Staged `infer` under pipeline placement.
-    Pipeline {
-        client: u64,
-        id: u64,
-        deadline: Option<Instant>,
-        model: String,
-        format: String,
-        plan: PipelinePlan,
-        stage: usize,
-        activation: Vec<f32>,
-    },
-}
-
-impl Machine {
-    fn client(&self) -> u64 {
-        match self {
-            Machine::Single { client, .. }
-            | Machine::Scatter { client, .. }
-            | Machine::Pipeline { client, .. } => *client,
-        }
-    }
+/// A machine and the client connection its response goes to.
+struct Running {
+    client: u64,
+    machine: Machine,
 }
 
 /// Per-backend upstream connection pool.
@@ -188,22 +117,11 @@ struct BackendIo {
     waiting: VecDeque<SubTag>,
 }
 
-enum Admit {
-    Immediate(Box<Response>),
-    Started(u64),
-}
-
-impl Admit {
-    fn immediate(resp: Response) -> Self {
-        Admit::Immediate(Box::new(resp))
-    }
-}
-
 struct EventRouter<'a> {
     shared: &'a RouterShared,
     poller: &'a Poller,
     conns: Slab<Conn>,
-    machines: Slab<Machine>,
+    machines: Slab<Running>,
     backends: Vec<BackendIo>,
     clients: usize,
 }
@@ -431,8 +349,8 @@ impl EventRouter<'_> {
             }
         };
         let op = req.op;
-        match self.admit(token, req, t0) {
-            Admit::Immediate(resp) => {
+        match admit(self.shared, req, t0) {
+            Admit::Reply(resp) => {
                 self.shared
                     .metrics
                     .record_request(op, resp.is_ok(), t0.elapsed());
@@ -443,11 +361,25 @@ impl EventRouter<'_> {
                     }
                 }
             }
-            Admit::Started(machine) => {
+            Admit::Run(machine) => {
+                let mid = self.machines.insert(Running {
+                    client: token,
+                    machine,
+                });
                 if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back((enc, Entry::Waiting { op, t0, machine }));
+                    c.queue.push_back((
+                        enc,
+                        Entry::Waiting {
+                            op,
+                            t0,
+                            machine: mid,
+                        },
+                    ));
                 }
-                self.kick(machine);
+                // Started after the `Waiting` entry exists, so a
+                // synchronous completion (dead backend, empty batch)
+                // still finds its queue slot.
+                self.drive(mid, Machine::next);
             }
         }
         // Drain-then-stop: during shutdown each connection finishes
@@ -459,160 +391,61 @@ impl EventRouter<'_> {
         }
     }
 
-    /// The synchronous half of dispatch: immediate ops answer inline;
-    /// compute ops validate and become machines. Mirrors the blocking
-    /// `dispatch` decision-for-decision so responses stay identical.
-    fn admit(&mut self, client: u64, req: Request, t0: Instant) -> Admit {
+    /// Feeds one event to machine `mid`, then carries out its steps
+    /// until it waits or finishes. Events nest — a write that fails
+    /// synchronously feeds the machine from inside `subcall` — so the
+    /// machine is looked up afresh after every send.
+    fn drive(
+        &mut self,
+        mid: u64,
+        event: impl FnOnce(&mut Machine, &RouterShared, Instant) -> Step,
+    ) {
         let shared = self.shared;
-        if req.proto_version != PROTOCOL_VERSION {
-            return Admit::immediate(shared.reject_malformed(
-                req.id,
-                format!(
-                    "unsupported protocol version {} (router speaks {PROTOCOL_VERSION})",
-                    req.proto_version
-                ),
-            ));
-        }
-        match req.op {
-            Op::Health => {
-                let mut resp = Response::ok(req.id);
-                resp.health = Some(shared.health_info());
-                Admit::immediate(resp)
-            }
-            Op::Metrics => {
-                let mut resp = Response::ok(req.id);
-                resp.metrics = Some(shared.metrics.snapshot());
-                Admit::immediate(resp)
-            }
-            Op::Shutdown => {
-                shared.begin_shutdown();
-                let mut resp = Response::ok(req.id);
-                resp.metrics = Some(shared.metrics.snapshot());
-                Admit::immediate(resp)
-            }
-            // Rare control ops: the join probe blocks the reactor
-            // thread for at most the probe timeout, same trade the
-            // blocking transport makes on a worker thread.
-            Op::Register => Admit::Immediate(Box::new(handle_register(shared, &req))),
-            Op::Deregister => Admit::Immediate(Box::new(handle_deregister(shared, &req))),
-            Op::Matvec | Op::ForwardBatch | Op::MatvecPartial | Op::Infer => {
-                if shared.is_shutting_down() {
-                    return Admit::immediate(Response::error(
-                        req.id,
-                        Status::ShuttingDown,
-                        "router is draining",
-                    ));
-                }
-                let deadline = match parse_deadline(shared, &req, t0) {
-                    Ok(d) => d,
-                    Err(resp) => return Admit::Immediate(resp),
-                };
-                match (shared.cfg.placement, req.op) {
-                    // Pipeline placement stages `infer`; every other
-                    // compute op still has the full layer on each
-                    // backend.
-                    (Placement::Pipeline, Op::Infer) => {
-                        let call = match validate_pipeline(shared, &req) {
-                            Ok(call) => call,
-                            Err(resp) => return Admit::Immediate(resp),
-                        };
-                        let PipelineCall {
-                            model,
-                            format,
-                            plan,
-                        } = call;
-                        let activation =
-                            req.input.clone().expect("validate_pipeline checked input");
-                        Admit::Started(self.machines.insert(Machine::Pipeline {
-                            client,
-                            id: req.id,
-                            deadline,
-                            model,
-                            format,
-                            plan,
-                            stage: 0,
-                            activation,
-                        }))
-                    }
-                    (Placement::Replicated | Placement::Pipeline, _) => {
-                        Admit::Started(self.machines.insert(Machine::Single {
-                            client,
-                            deadline,
-                            excluded: Vec::new(),
-                            req,
-                        }))
-                    }
-                    (Placement::Sharded, Op::Matvec) => {
-                        let Some(input) = req.input else {
-                            return Admit::immediate(
-                                shared.reject_malformed(req.id, "matvec requires `input`"),
-                            );
-                        };
-                        Admit::Started(self.machines.insert(Machine::Scatter {
-                            client,
-                            id: req.id,
-                            op: Op::Matvec,
-                            deadline,
-                            inputs: vec![input],
-                            round: 0,
-                            outputs: Vec::new(),
-                            plan: None,
-                            parts: Vec::new(),
-                            tried: Vec::new(),
-                            outstanding: 0,
-                        }))
-                    }
-                    (Placement::Sharded, Op::ForwardBatch) => {
-                        let Some(inputs) = req.inputs else {
-                            return Admit::immediate(
-                                shared.reject_malformed(req.id, "forward_batch requires `inputs`"),
-                            );
-                        };
-                        Admit::Started(self.machines.insert(Machine::Scatter {
-                            client,
-                            id: req.id,
-                            op: Op::ForwardBatch,
-                            deadline,
-                            inputs,
-                            round: 0,
-                            outputs: Vec::new(),
-                            plan: None,
-                            parts: Vec::new(),
-                            tried: Vec::new(),
-                            outstanding: 0,
-                        }))
-                    }
-                    (Placement::Sharded, Op::MatvecPartial) => {
-                        Admit::immediate(shared.reject_malformed(req.id, SHARDED_PARTIAL_REJECTION))
-                    }
-                    (Placement::Sharded, Op::Infer) => {
-                        Admit::immediate(shared.reject_malformed(req.id, SHARDED_INFER_REJECTION))
-                    }
-                    _ => unreachable!("compute ops only"),
+        let Some(run) = self.machines.get_mut(mid) else {
+            return;
+        };
+        let mut step = event(&mut run.machine, shared, Instant::now());
+        loop {
+            match step {
+                Step::Wait => return,
+                Step::Done(resp) => return self.complete(mid, resp),
+                Step::Send { shard, backend } => {
+                    let tag = SubTag {
+                        machine: mid,
+                        shard,
+                    };
+                    let started = self.subcall(tag, backend.index);
+                    let Some(run) = self.machines.get_mut(mid) else {
+                        return;
+                    };
+                    let now = Instant::now();
+                    step = if started {
+                        run.machine.next(shared, now)
+                    } else {
+                        run.machine
+                            .on_transport_fail(shared, shard, backend.index, now)
+                    };
                 }
             }
         }
     }
 
-    /// Starts a machine's first piece of work. Called after the
-    /// client's `Waiting` entry exists, so a synchronous completion
-    /// (dead backend, empty batch) still finds its queue slot.
-    fn kick(&mut self, mid: u64) {
-        match self.machines.get(mid) {
-            Some(Machine::Single { .. }) => self.single_attempt(mid),
-            Some(Machine::Scatter { .. }) => self.scatter_begin_round(mid),
-            Some(Machine::Pipeline { .. }) => self.pipeline_send_stage(mid),
-            None => {}
-        }
+    /// A sub-call failed in transport; its machine fails over or answers.
+    fn sub_failed(&mut self, tag: SubTag, index: usize) {
+        self.drive(tag.machine, |m, shared, now| {
+            m.on_transport_fail(shared, tag.shard, index, now)
+        });
     }
 
     /// Releases a finished response into the client's FIFO and flushes
     /// whatever has become releasable.
     fn complete(&mut self, mid: u64, resp: Response) {
-        let Some(machine) = self.machines.remove(mid) else {
+        let Some(Running { client, machine }) = self.machines.remove(mid) else {
             return;
         };
-        let client = machine.client();
+        if machine.owed().next().is_some() {
+            self.abandon(mid);
+        }
         let ok = resp.is_ok();
         let Some(Conn::Client(c)) = self.conns.get_mut(client) else {
             return; // client hung up; the response has nowhere to go
@@ -713,271 +546,33 @@ impl EventRouter<'_> {
         }
     }
 
-    // -- machines ----------------------------------------------------------
-
-    fn single_attempt(&mut self, mid: u64) {
-        let shared = self.shared;
-        enum Next {
-            Respond(Box<Response>),
-            Attempt(usize),
-        }
-        let next = {
-            let Some(Machine::Single {
-                deadline,
-                excluded,
-                req,
-                ..
-            }) = self.machines.get_mut(mid)
-            else {
-                return;
-            };
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                shared
-                    .metrics
-                    .serve()
-                    .runtime()
-                    .record_rejection(RejectReason::DeadlineExpired);
-                Next::Respond(Box::new(Response::error(
-                    req.id,
-                    Status::DeadlineExpired,
-                    "deadline expired during failover",
-                )))
-            } else {
-                match shared.pool.pick_replica(excluded) {
-                    Some(b) => Next::Attempt(b.index),
-                    None => {
-                        let text = if excluded.is_empty() {
-                            "no live replica available; retry shortly"
-                        } else {
-                            "every replica failed this request; retry shortly"
-                        };
-                        let mut resp = Response::error(req.id, Status::Overloaded, text);
-                        resp.retry_after_ms = Some(shared.retry_hint());
-                        Next::Respond(Box::new(resp))
-                    }
-                }
-            }
-        };
-        match next {
-            Next::Respond(resp) => self.complete(mid, *resp),
-            Next::Attempt(index) => self.subcall(
-                SubTag {
-                    machine: mid,
-                    shard: 0,
-                },
-                index,
-            ),
-        }
-    }
-
-    fn scatter_begin_round(&mut self, mid: u64) {
-        let shared = self.shared;
-        enum Next {
-            Done(Box<Response>),
-            Fan(Arc<ReplicatedShardPlan>),
-        }
-        let next = {
-            let Some(Machine::Scatter {
-                id,
-                op,
-                inputs,
-                round,
-                outputs,
-                plan,
-                parts,
-                tried,
-                outstanding,
-                ..
-            }) = self.machines.get_mut(mid)
-            else {
-                return;
-            };
-            if *round == inputs.len() {
-                // All rounds reduced: shape the response by op —
-                // `matvec` unwraps its single output, `forward_batch`
-                // keeps the batch (possibly empty).
-                let mut resp = Response::ok(*id);
-                let outs = std::mem::take(outputs);
-                if *op == Op::Matvec {
-                    resp.output = outs.into_iter().next();
-                } else {
-                    resp.outputs = Some(outs);
-                }
-                Next::Done(Box::new(resp))
-            } else if inputs[*round].len() != shared.k {
-                let detail = format!(
-                    "input has length {}, served layer expects {}",
-                    inputs[*round].len(),
-                    shared.k
-                );
-                let id = *id;
-                Next::Done(Box::new(shared.reject_malformed(id, detail)))
-            } else {
-                // One placement view per scatter round: a concurrent
-                // rebalance swaps the *next* round's plan, never this
-                // one's.
-                match shared.current_view().plan.clone() {
-                    None => {
-                        let id = *id;
-                        Next::Done(Box::new(no_shard_capacity(shared, id)))
-                    }
-                    Some(p) => {
-                        *parts = (0..p.shards.len()).map(|_| None).collect();
-                        *tried = vec![Vec::new(); p.shards.len()];
-                        *outstanding = p.shards.len();
-                        *plan = Some(Arc::clone(&p));
-                        Next::Fan(p)
-                    }
-                }
-            }
-        };
-        match next {
-            Next::Done(resp) => self.complete(mid, *resp),
-            Next::Fan(plan) => {
-                for pos in 0..plan.shards.len() {
-                    if !self.scatter_dispatch_shard(mid, &plan, pos) {
-                        return;
-                    }
-                    // A sub-call can fail synchronously (connect
-                    // refused on a dead backend) and re-dispatch or
-                    // complete the machine; stop fanning out if it
-                    // completed.
-                    if self.machines.get(mid).is_none() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Picks the least-outstanding untried replica of shard `pos` and
-    /// starts its sub-call. Aborts the round (`504`/`503`) when the
-    /// caller's deadline has lapsed or the shard has no live replica
-    /// left; returns `false` iff the round was aborted.
-    fn scatter_dispatch_shard(&mut self, mid: u64, plan: &ReplicatedShardPlan, pos: usize) -> bool {
-        let shared = self.shared;
-        let (id, deadline, tried) = {
-            let Some(Machine::Scatter {
-                id,
-                deadline,
-                tried,
-                ..
-            }) = self.machines.get_mut(mid)
-            else {
-                return false;
-            };
-            (*id, *deadline, tried[pos].clone())
-        };
-        if let Some(resp) = deadline_expired(shared, id, deadline) {
-            self.scatter_abort(mid, *resp);
-            return false;
-        }
-        let Some(backend) = shared.pool.pick_among(&plan.shards[pos].replicas, &tried) else {
-            let resp = shard_unavailable(shared, id, pos);
-            self.scatter_abort(mid, resp);
-            return false;
-        };
-        self.subcall(
-            SubTag {
-                machine: mid,
-                shard: pos,
-            },
-            backend.index,
-        );
-        true
-    }
-
-    fn pipeline_send_stage(&mut self, mid: u64) {
-        let backend_index = {
-            let Some(Machine::Pipeline { plan, stage, .. }) = self.machines.get(mid) else {
-                return;
-            };
-            plan.stages[*stage].backend
-        };
-        self.subcall(
-            SubTag {
-                machine: mid,
-                shard: 0,
-            },
-            backend_index,
-        );
-    }
-
     // -- sub-call plumbing -------------------------------------------------
 
-    /// Builds the wire sub-request for a tag at send time — deadline
-    /// budgets shrink while queued, exactly as they do between the
-    /// blocking path's sequential sends — plus its attempt timeout.
-    fn build_sub(&self, tag: SubTag) -> Option<(Request, Duration)> {
-        let shared = self.shared;
-        let cap = shared.cfg.dispatch_timeout;
-        match self.machines.get(tag.machine)? {
-            Machine::Single { req, deadline, .. } => {
-                let mut fwd = req.clone();
-                fwd.deadline_ms = remaining_ms(*deadline);
-                Some((fwd, attempt_timeout(*deadline, cap)))
-            }
-            Machine::Scatter {
-                id,
-                deadline,
-                inputs,
-                round,
-                plan,
-                ..
-            } => {
-                let plan = plan.as_ref()?;
-                let shard = &plan.shards[tag.shard];
-                let input = inputs.get(*round)?;
-                let mut sub = Request::matvec_partial(
-                    *id,
-                    shard.row_offset as u64,
-                    input[shard.row_offset..shard.row_end()].to_vec(),
-                );
-                sub.deadline_ms = remaining_ms(*deadline);
-                Some((sub, attempt_timeout(*deadline, cap)))
-            }
-            Machine::Pipeline {
-                id,
-                deadline,
-                model,
-                format,
-                plan,
-                stage,
-                activation,
-                ..
-            } => {
-                let s = &plan.stages[*stage];
-                let mut sub = Request::infer(*id, model, format, activation.clone())
-                    .with_layer_range(s.start as u64, s.end as u64);
-                sub.deadline_ms = remaining_ms(*deadline);
-                Some((sub, attempt_timeout(*deadline, cap)))
-            }
-        }
-    }
-
     /// Starts a sub-call against backend `index`: reuse a pooled conn,
-    /// open a new one under the cap, or queue until one frees.
-    fn subcall(&mut self, tag: SubTag, index: usize) {
+    /// open a new one under the cap, or queue until one frees. False
+    /// when the connect failed; the machine has yet to hear of it.
+    fn subcall(&mut self, tag: SubTag, index: usize) -> bool {
         if let Some(token) = self.backend_io(index).free.pop() {
             self.shared.pool.get(index).begin_dispatch();
             self.start_on_conn(token, tag);
-            return;
+            return true;
         }
-        if self.backend_io(index).total < self.cfg().conns_per_backend {
-            self.shared.pool.get(index).begin_dispatch();
-            match self.connect_upstream(index) {
-                Ok(token) => {
-                    self.backend_io(index).total += 1;
-                    self.start_on_conn(token, tag);
-                }
-                Err(_) => {
-                    self.shared.pool.get(index).finish_dispatch(false, None);
-                    self.sub_transport_fail(tag, index);
-                }
+        if self.backend_io(index).total >= self.cfg().conns_per_backend {
+            self.backend_io(index).waiting.push_back(tag);
+            return true;
+        }
+        self.shared.pool.get(index).begin_dispatch();
+        match self.connect_upstream(index) {
+            Ok(token) => {
+                self.backend_io(index).total += 1;
+                self.start_on_conn(token, tag);
+                true
             }
-            return;
+            Err(_) => {
+                self.shared.pool.get(index).finish_dispatch(false, None);
+                false
+            }
         }
-        self.backend_io(index).waiting.push_back(tag);
     }
 
     fn connect_upstream(&mut self, index: usize) -> std::io::Result<u64> {
@@ -1014,10 +609,12 @@ impl EventRouter<'_> {
         Ok(token)
     }
 
-    /// Sends the sub-request on an owned connection. `begin_dispatch`
-    /// has already been called for this attempt.
+    /// Sends the sub-request on an owned connection, built now so that
+    /// it forwards only the deadline budget left after queueing.
+    /// `begin_dispatch` has already been called for this attempt.
     fn start_on_conn(&mut self, token: u64, tag: SubTag) {
-        let Some((sub, timeout)) = self.build_sub(tag) else {
+        let now = Instant::now();
+        let Some(run) = self.machines.get_mut(tag.machine) else {
             // The machine vanished while the conn was being acquired:
             // undo the dispatch count and return the conn to the pool.
             if let Some(Conn::Upstream(u)) = self.conns.get(token) {
@@ -1027,6 +624,7 @@ impl EventRouter<'_> {
             }
             return;
         };
+        let (sub, timeout) = run.machine.sub_request(self.shared, tag.shard, now);
         let payload = match protocol::encode_message(&sub) {
             Ok(p) => p,
             Err(_) => {
@@ -1036,14 +634,13 @@ impl EventRouter<'_> {
                 let index = u.backend;
                 self.shared.pool.get(index).finish_dispatch(false, None);
                 self.drop_upstream(token);
-                self.sub_transport_fail(tag, index);
+                self.sub_failed(tag, index);
                 return;
             }
         };
         let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
             return;
         };
-        let now = Instant::now();
         u.owner = Some(tag);
         u.attempt_started = now;
         u.expires = now + timeout;
@@ -1131,162 +728,9 @@ impl EventRouter<'_> {
         } else {
             self.release_conn(token);
         }
-        self.machine_on_response(tag, index, resp);
-    }
-
-    fn machine_on_response(&mut self, tag: SubTag, index: usize, resp: Response) {
-        let shared = self.shared;
-        match self.machines.get_mut(tag.machine) {
-            None => {}
-            Some(Machine::Single { req, .. }) => {
-                if resp.status == Status::Overloaded {
-                    if let Some(ms) = resp.retry_after_ms {
-                        shared.pool.get(index).note_retry_after(ms);
-                    }
-                }
-                if let Some(mj) = resp.energy_mj {
-                    shared.metrics.record_energy_mj(
-                        resp.format.as_deref(),
-                        req.model.as_deref(),
-                        mj,
-                    );
-                }
-                self.complete(tag.machine, resp);
-            }
-            Some(Machine::Scatter {
-                id,
-                plan,
-                parts,
-                outstanding,
-                outputs,
-                round,
-                ..
-            }) => {
-                let plan = plan.clone().expect("round in flight has a plan");
-                let shard = &plan.shards[tag.shard];
-                let id = *id;
-                *outstanding -= 1;
-                if resp.status == Status::Ok {
-                    // Each shard meters its own slice of the matvec;
-                    // the router ledger sums them per scatter round.
-                    if let Some(mj) = resp.energy_mj {
-                        shared.metrics.record_energy_mj(None, None, mj);
-                    }
-                    let Some(partials) = resp.partials else {
-                        let fail = Response::error(
-                            id,
-                            Status::Overloaded,
-                            format!("shard {} returned no partials", tag.shard),
-                        );
-                        self.scatter_abort(tag.machine, fail);
-                        return;
-                    };
-                    if partials.len() != shard.tiles || partials.iter().any(|p| p.len() != shared.n)
-                    {
-                        let fail = Response::error(
-                            id,
-                            Status::Overloaded,
-                            format!("shard {} returned malformed partials", tag.shard),
-                        );
-                        self.scatter_abort(tag.machine, fail);
-                        return;
-                    }
-                    parts[tag.shard] = Some(partials);
-                    if *outstanding == 0 {
-                        // Reduce: fixed left fold in shard/tile order —
-                        // identical bits to the single-node
-                        // accumulation, regardless of arrival order.
-                        let gathered: Vec<Vec<f32>> = parts
-                            .iter_mut()
-                            .flat_map(|p| p.take().expect("all shards gathered"))
-                            .collect();
-                        let refs: Vec<&[f32]> = gathered.iter().map(Vec::as_slice).collect();
-                        let mut adder = PartialSumAdder::new();
-                        let mut output = Vec::with_capacity(shared.n);
-                        adder.sum_into(&refs, &mut output);
-                        outputs.push(output);
-                        *round += 1;
-                        self.scatter_begin_round(tag.machine);
-                    }
-                } else {
-                    // Structured shard rejection (503 overloaded, 504
-                    // expired, …): propagate status/code upstream with
-                    // the shard named in the error text.
-                    if resp.status == Status::Overloaded {
-                        if let Some(ms) = resp.retry_after_ms {
-                            shared.pool.get(index).note_retry_after(ms);
-                        }
-                    }
-                    let mut out = Response::error(
-                        id,
-                        resp.status,
-                        format!(
-                            "shard {} ({}): {}",
-                            tag.shard,
-                            shared.pool.get(index).addr,
-                            resp.error.as_deref().unwrap_or("rejected")
-                        ),
-                    );
-                    out.retry_after_ms = resp.retry_after_ms;
-                    self.scatter_abort(tag.machine, out);
-                }
-            }
-            Some(Machine::Pipeline {
-                id,
-                model,
-                plan,
-                stage,
-                activation,
-                ..
-            }) => {
-                let id = *id;
-                if resp.status == Status::Ok {
-                    let Some(output) = resp.output else {
-                        let fail = Response::error(
-                            id,
-                            Status::Overloaded,
-                            format!(
-                                "stage {} returned no activation",
-                                plan.stages[*stage].backend
-                            ),
-                        );
-                        self.complete(tag.machine, fail);
-                        return;
-                    };
-                    *activation = output;
-                    *stage += 1;
-                    if *stage == plan.stages.len() {
-                        shared.metrics.record_infer(model);
-                        let mut out = Response::ok(id);
-                        out.output = Some(std::mem::take(activation));
-                        self.complete(tag.machine, out);
-                    } else {
-                        self.pipeline_send_stage(tag.machine);
-                    }
-                } else {
-                    // Structured stage rejection: propagate with the
-                    // stage named in the error text.
-                    if resp.status == Status::Overloaded {
-                        if let Some(ms) = resp.retry_after_ms {
-                            shared.pool.get(index).note_retry_after(ms);
-                        }
-                    }
-                    let stage_backend = plan.stages[*stage].backend;
-                    let mut out = Response::error(
-                        id,
-                        resp.status,
-                        format!(
-                            "stage {} ({}): {}",
-                            stage_backend,
-                            shared.pool.get(stage_backend).addr,
-                            resp.error.as_deref().unwrap_or("rejected")
-                        ),
-                    );
-                    out.retry_after_ms = resp.retry_after_ms;
-                    self.complete(tag.machine, out);
-                }
-            }
-        }
+        self.drive(tag.machine, |m, shared, now| {
+            m.on_response(shared, tag.shard, index, resp, now)
+        });
     }
 
     /// Transport failure on an upstream conn (I/O error, EOF mid-call,
@@ -1303,68 +747,18 @@ impl EventRouter<'_> {
         }
         self.drop_upstream(token);
         if let Some(tag) = owner {
-            self.sub_transport_fail(tag, index);
+            self.sub_failed(tag, index);
         }
     }
 
-    /// Machine-side reaction to a failed sub-call (identical decisions
-    /// to the blocking dispatchers).
-    fn sub_transport_fail(&mut self, tag: SubTag, index: usize) {
-        let shared = self.shared;
-        match self.machines.get_mut(tag.machine) {
-            None => {}
-            Some(Machine::Single { excluded, .. }) => {
-                // Eject the replica and re-dispatch within the
-                // deadline; the prober revives it (after the
-                // fingerprint handshake) later.
-                excluded.push(index);
-                if shared.pool.get(index).mark_dead() {
-                    shared.rebalance();
-                }
-                shared.metrics.serve().record_protocol_error();
-                self.single_attempt(tag.machine);
-            }
-            Some(Machine::Scatter { plan, tried, .. }) => {
-                // Eject the replica and fail the shard over to a
-                // sibling — it holds the identical rows, so failover
-                // cannot change a single bit of the reduction.
-                tried[tag.shard].push(index);
-                let plan = plan.clone().expect("round in flight has a plan");
-                if shared.pool.get(index).mark_dead() {
-                    shared.rebalance();
-                }
-                shared.metrics.serve().record_protocol_error();
-                self.scatter_dispatch_shard(tag.machine, &plan, tag.shard);
-            }
-            Some(Machine::Pipeline {
-                id, plan, stage, ..
-            }) => {
-                // A dead stage cannot be failed over: no other backend
-                // is assigned its layer range.
-                shared.pool.get(index).mark_dead();
-                shared.metrics.serve().record_protocol_error();
-                let id = *id;
-                let stage_backend = plan.stages[*stage].backend;
-                let mut resp = Response::error(
-                    id,
-                    Status::Overloaded,
-                    format!(
-                        "pipeline stage {} ({}) unavailable",
-                        stage_backend,
-                        shared.pool.get(stage_backend).addr
-                    ),
-                );
-                resp.retry_after_ms = Some(shared.retry_hint());
-                self.complete(tag.machine, resp);
-            }
+    /// Abandons the sub-calls of a machine that finished early: queued
+    /// ones are purged, and in-flight ones get their dispatches closed
+    /// out and their conns dropped (a stray response must never be
+    /// mistaken for another request's).
+    fn abandon(&mut self, mid: u64) {
+        for b in &mut self.backends {
+            b.waiting.retain(|t| t.machine != mid);
         }
-    }
-
-    /// Aborts a scatter round: in-flight sibling sub-calls get their
-    /// dispatches closed out and their conns dropped (a stray response
-    /// must never be mistaken for another request's), queued siblings
-    /// are purged, and the machine completes with `resp`.
-    fn scatter_abort(&mut self, mid: u64, resp: Response) {
         for token in self.conns.tokens() {
             let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
                 continue;
@@ -1376,10 +770,6 @@ impl EventRouter<'_> {
                 self.drop_upstream(token);
             }
         }
-        for b in &mut self.backends {
-            b.waiting.retain(|t| t.machine != mid);
-        }
-        self.complete(mid, resp);
     }
 
     /// Returns an upstream conn to its backend pool, or hands it
@@ -1426,7 +816,9 @@ impl EventRouter<'_> {
         // Freed capacity: a queued sub-call may now open a fresh conn.
         while let Some(tag) = self.backend_io(index).waiting.pop_front() {
             if self.machines.get(tag.machine).is_some() {
-                self.subcall(tag, index);
+                if !self.subcall(tag, index) {
+                    self.sub_failed(tag, index);
+                }
                 break;
             }
         }

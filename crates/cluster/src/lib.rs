@@ -7,7 +7,7 @@
 //! existing [`afpr_serve::Client`], [`afpr_serve::RetryingClient`] and
 //! the `loadgen` binary work against a cluster unchanged.
 //!
-//! Two placement modes ([`Placement`]):
+//! Three placement modes ([`Placement`]):
 //!
 //! * **Replicated** — every backend serves the full model. The router
 //!   picks the least-outstanding-requests eligible replica, consumes
@@ -48,6 +48,16 @@
 //! drain on the plan they started with. [`MembershipEvents`] counts
 //! the churn.
 //!
+//! ## Transports
+//!
+//! [`ClusterConfig::transport`] selects the blocking worker pool or
+//! the epoll reactor. Both drive the same socket-free dispatch core:
+//! one admission step and one state machine per placement, fed
+//! sub-call responses and transport failures with the current instant.
+//! Replica picks, ejection, retry hints, energy credits, the
+//! shard-order reduction and every response text are written there
+//! once, so the transports answer byte-identically.
+//!
 //! ## Quickstart
 //!
 //! ```no_run
@@ -68,6 +78,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
+pub(crate) mod dispatch;
 pub(crate) mod event_router;
 pub mod metrics;
 pub mod plan;

@@ -23,6 +23,18 @@
 //! existing clients, the retrying client and the load generator work
 //! against it unchanged.
 //!
+//! # Transports and the dispatch core
+//!
+//! What a request does — admission, replicated failover, scatter
+//! rounds, pipeline staging, deadline aborts and every response text —
+//! is decided once, by the socket-free machines of the `dispatch`
+//! module. The blocking transport above drives one machine at a time
+//! per worker over that worker's backend connections: it writes every
+//! owed sub-request before reading any, then reads the responses in
+//! shard order. The reactor transport (`event_router`) drives the same
+//! machines from pooled upstream connections, so the two answer
+//! byte-identically. [`ClusterConfig::transport`] selects one.
+//!
 //! # Placement modes
 //!
 //! **Replicated** — every backend holds the full model. Each request
@@ -85,13 +97,13 @@ use afpr_runtime::RejectReason;
 use afpr_serve::protocol::{self, Encoding, FrameError};
 use afpr_serve::{
     Client, ClientError, HealthInfo, HealthState, Op, Request, Response, Status, Transport,
-    DEFAULT_MAX_FRAME, MAX_DEADLINE_MS, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use afpr_xbar::PartialSumAdder;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 
 use crate::backend::{spawn_prober, BackendPool, BackendState, Fingerprint, SeedPin};
+use crate::dispatch::{admit, Admit, Machine, Step};
 use crate::metrics::{ClusterMetrics, ClusterSnapshot};
 use crate::plan::{PipelinePlan, ReplicatedShardPlan};
 
@@ -261,7 +273,7 @@ pub(crate) struct RouterShared {
     /// inventory every backend advertised at startup, verified
     /// identical across the pool so any layer range of any model can
     /// run on any stage.
-    catalog: Vec<ModelEntrySnapshot>,
+    pub(crate) catalog: Vec<ModelEntrySnapshot>,
     /// The registry seed every backend advertised (pipeline placement
     /// only) — agreement was verified at startup, so the router
     /// re-advertises it on its own `health` op.
@@ -289,6 +301,52 @@ pub(crate) struct PlacementView {
 }
 
 impl RouterShared {
+    /// State over a probed pool. The facts fix the identity contract
+    /// later joins and revivals must match; the first placement plan
+    /// comes from [`RouterShared::rebalance`].
+    pub(crate) fn new(
+        cfg: ClusterConfig,
+        pool: BackendPool,
+        facts: StartupFacts,
+        drain_waker: Option<afpr_reactor::Waker>,
+    ) -> Self {
+        let StartupFacts {
+            k,
+            n,
+            unit,
+            catalog,
+            catalog_seed,
+            common_seed,
+        } = facts;
+        let expected = Fingerprint {
+            protocol: PROTOCOL_VERSION,
+            input_dim: k as u64,
+            output_dim: n as u64,
+            row_tile_rows: (cfg.placement == Placement::Sharded).then_some(unit as u64),
+            registry_seed: common_seed,
+            catalog: (cfg.placement == Placement::Pipeline)
+                .then(|| Fingerprint::catalog_key(&catalog)),
+        };
+        Self {
+            cfg,
+            shutting_down: AtomicBool::new(false),
+            pool,
+            metrics: ClusterMetrics::new(),
+            k,
+            n,
+            unit,
+            view: Mutex::new(Arc::new(PlacementView {
+                epoch: 0,
+                plan: None,
+            })),
+            expected,
+            catalog,
+            catalog_seed,
+            drain_waker,
+            prober: OnceLock::new(),
+        }
+    }
+
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
     }
@@ -500,17 +558,10 @@ impl Router {
             ));
         }
         let pool = BackendPool::new(&cfg.backends).with_energy_policy(cfg.energy_routing);
-        let StartupFacts {
-            k,
-            n,
-            unit,
-            catalog,
-            catalog_seed,
-            common_seed,
-        } = startup_probe(&cfg, &pool)?;
+        let facts = startup_probe(&cfg, &pool)?;
         if cfg.placement == Placement::Pipeline {
             // Every registered model must admit a stage per backend.
-            for entry in &catalog {
+            for entry in &facts.catalog {
                 PipelinePlan::compute(entry.layers as usize, pool.len()).map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -519,17 +570,6 @@ impl Router {
                 })?;
             }
         }
-        // The identity contract later joins and revivals must match.
-        let expected = Fingerprint {
-            protocol: PROTOCOL_VERSION,
-            input_dim: k as u64,
-            output_dim: n as u64,
-            row_tile_rows: (cfg.placement == Placement::Sharded).then_some(unit as u64),
-            registry_seed: common_seed,
-            catalog: (cfg.placement == Placement::Pipeline)
-                .then(|| Fingerprint::catalog_key(&catalog)),
-        };
-
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -545,24 +585,7 @@ impl Router {
             (Some(wait), waker, None)
         };
 
-        let shared = Arc::new(RouterShared {
-            cfg,
-            shutting_down: AtomicBool::new(false),
-            pool,
-            metrics: ClusterMetrics::new(),
-            k,
-            n,
-            unit,
-            view: Mutex::new(Arc::new(PlacementView {
-                epoch: 0,
-                plan: None,
-            })),
-            expected,
-            catalog,
-            catalog_seed,
-            drain_waker,
-            prober: OnceLock::new(),
-        });
+        let shared = Arc::new(RouterShared::new(cfg, pool, facts, drain_waker));
         // Initial placement (epoch 1 in sharded mode). All backends
         // just answered the startup probe, so every slot is eligible.
         shared.rebalance();
@@ -758,13 +781,13 @@ impl Drop for Router {
 /// tile height, catalog (pipeline only) and the pool's weight
 /// provenance (pinned to a seed, pinned registry-less, or loose when
 /// the startup backends were mixed).
-struct StartupFacts {
-    k: usize,
-    n: usize,
-    unit: usize,
-    catalog: Vec<ModelEntrySnapshot>,
-    catalog_seed: Option<u64>,
-    common_seed: SeedPin,
+pub(crate) struct StartupFacts {
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+    pub(crate) unit: usize,
+    pub(crate) catalog: Vec<ModelEntrySnapshot>,
+    pub(crate) catalog_seed: Option<u64>,
+    pub(crate) common_seed: SeedPin,
 }
 
 /// Blocks until every backend answers a health probe (or the startup
@@ -1107,7 +1130,10 @@ fn handle_frame<W: Write>(
     };
     let op = req.op;
     let id = req.id;
-    let resp = dispatch(shared, conns, req, t0);
+    let resp = match admit(shared, req, t0) {
+        Admit::Reply(resp) => *resp,
+        Admit::Run(machine) => conns.drive(shared, machine),
+    };
     shared
         .metrics
         .record_request(op, resp.is_ok(), t0.elapsed());
@@ -1116,58 +1142,6 @@ fn handle_frame<W: Write>(
         return false;
     }
     op != Op::Shutdown
-}
-
-fn dispatch(shared: &RouterShared, conns: &mut WorkerConns, req: Request, t0: Instant) -> Response {
-    if req.proto_version != PROTOCOL_VERSION {
-        return shared.reject_malformed(
-            req.id,
-            format!(
-                "unsupported protocol version {} (router speaks {PROTOCOL_VERSION})",
-                req.proto_version
-            ),
-        );
-    }
-    match req.op {
-        Op::Health => {
-            let mut resp = Response::ok(req.id);
-            resp.health = Some(shared.health_info());
-            resp
-        }
-        Op::Metrics => {
-            let mut resp = Response::ok(req.id);
-            resp.metrics = Some(shared.metrics.snapshot());
-            resp
-        }
-        Op::Shutdown => {
-            shared.begin_shutdown();
-            let mut resp = Response::ok(req.id);
-            resp.metrics = Some(shared.metrics.snapshot());
-            resp
-        }
-        Op::Register => handle_register(shared, &req),
-        Op::Deregister => handle_deregister(shared, &req),
-        Op::Matvec | Op::ForwardBatch | Op::MatvecPartial | Op::Infer => {
-            if shared.is_shutting_down() {
-                return Response::error(req.id, Status::ShuttingDown, "router is draining");
-            }
-            let deadline = match parse_deadline(shared, &req, t0) {
-                Ok(d) => d,
-                Err(resp) => return *resp,
-            };
-            match (shared.cfg.placement, req.op) {
-                // Pipeline placement stages `infer`; every other
-                // compute op still has the full layer on each backend.
-                (Placement::Pipeline, Op::Infer) => {
-                    dispatch_pipeline(shared, conns, &req, deadline)
-                }
-                (Placement::Replicated | Placement::Pipeline, _) => {
-                    dispatch_replicated(shared, conns, &req, deadline)
-                }
-                (Placement::Sharded, _) => dispatch_sharded(shared, conns, &req, deadline),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1264,649 +1238,6 @@ fn probe_addr(addr: &str, timeout: Duration) -> Result<HealthInfo, String> {
     client.health().map_err(|e| format!("{e:?}"))
 }
 
-/// Mirrors the backend's deadline hardening: `checked_add` + the 24 h
-/// cap, plus an immediate `504` for already-expired budgets.
-pub(crate) fn parse_deadline(
-    shared: &RouterShared,
-    req: &Request,
-    t0: Instant,
-) -> Result<Option<Instant>, Box<Response>> {
-    let deadline = match req.deadline_ms {
-        None => None,
-        Some(ms) => {
-            let within_cap = ms <= MAX_DEADLINE_MS;
-            match t0.checked_add(Duration::from_millis(ms)) {
-                Some(d) if within_cap => Some(d),
-                _ => {
-                    return Err(Box::new(shared.reject_malformed(
-                        req.id,
-                        format!("deadline_ms {ms} exceeds the maximum of {MAX_DEADLINE_MS} ms"),
-                    )));
-                }
-            }
-        }
-    };
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            shared
-                .metrics
-                .serve()
-                .runtime()
-                .record_rejection(RejectReason::DeadlineExpired);
-            return Err(Box::new(Response::error(
-                req.id,
-                Status::DeadlineExpired,
-                "deadline expired before dispatch",
-            )));
-        }
-    }
-    Ok(deadline)
-}
-
-/// Per-attempt socket timeout: the remaining deadline budget (plus a
-/// small grace so the backend's own `504` wins the race), capped by
-/// the configured dispatch timeout.
-pub(crate) fn attempt_timeout(deadline: Option<Instant>, cap: Duration) -> Duration {
-    const MIN: Duration = Duration::from_millis(10);
-    const GRACE: Duration = Duration::from_millis(250);
-    match deadline {
-        Some(d) => (d.saturating_duration_since(Instant::now()) + GRACE).min(cap),
-        None => cap,
-    }
-    .max(MIN)
-}
-
-/// Remaining budget in milliseconds to forward downstream.
-pub(crate) fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
-    deadline.map(|d| {
-        u64::try_from(d.saturating_duration_since(Instant::now()).as_millis()).unwrap_or(u64::MAX)
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Replicated dispatch
-// ---------------------------------------------------------------------------
-
-fn dispatch_replicated(
-    shared: &RouterShared,
-    conns: &mut WorkerConns,
-    req: &Request,
-    deadline: Option<Instant>,
-) -> Response {
-    // Slots already tried (and ejected) by *this* request; the pool
-    // itself can grow concurrently, so exclusion is a slot list, not a
-    // bitmap sized at entry.
-    let mut excluded: Vec<usize> = Vec::new();
-    loop {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                shared
-                    .metrics
-                    .serve()
-                    .runtime()
-                    .record_rejection(RejectReason::DeadlineExpired);
-                return Response::error(
-                    req.id,
-                    Status::DeadlineExpired,
-                    "deadline expired during failover",
-                );
-            }
-        }
-        let Some(backend) = shared.pool.pick_replica(&excluded) else {
-            let text = if excluded.is_empty() {
-                "no live replica available; retry shortly"
-            } else {
-                "every replica failed this request; retry shortly"
-            };
-            let mut resp = Response::error(req.id, Status::Overloaded, text);
-            resp.retry_after_ms = Some(shared.retry_hint());
-            return resp;
-        };
-
-        let mut fwd = req.clone();
-        fwd.deadline_ms = match deadline {
-            Some(_) => remaining_ms(deadline),
-            None => None,
-        };
-        let timeout = attempt_timeout(deadline, shared.cfg.dispatch_timeout);
-        backend.begin_dispatch();
-        let started = Instant::now();
-        match conns.call(&backend, &fwd, timeout) {
-            Ok(resp) => {
-                backend.finish_dispatch(true, Some(started.elapsed()));
-                if resp.status == Status::Overloaded {
-                    if let Some(ms) = resp.retry_after_ms {
-                        backend.note_retry_after(ms);
-                    }
-                }
-                if let Some(mj) = resp.energy_mj {
-                    shared.metrics.record_energy_mj(
-                        resp.format.as_deref(),
-                        req.model.as_deref(),
-                        mj,
-                    );
-                }
-                return resp;
-            }
-            Err(_) => {
-                // Transport failure: eject the replica and re-dispatch
-                // the request to another one within the deadline. The
-                // prober revives it when it answers health (and the
-                // fingerprint handshake) again.
-                backend.finish_dispatch(false, None);
-                excluded.push(backend.index);
-                if backend.mark_dead() {
-                    shared.rebalance();
-                }
-                shared.metrics.serve().record_protocol_error();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded dispatch (scatter-gather + bit-exact reduction)
-// ---------------------------------------------------------------------------
-
-/// Rejection text for `matvec_partial` against a sharded router,
-/// shared by both transports so they answer byte-identically.
-pub(crate) const SHARDED_PARTIAL_REJECTION: &str =
-    "matvec_partial is a backend-level op; the sharded router owns shard planning";
-
-/// Rejection text for `infer` against a sharded router, shared by both
-/// transports so they answer byte-identically.
-pub(crate) const SHARDED_INFER_REJECTION: &str =
-    "infer is not available in sharded placement; deploy the cluster with \
-     `pipeline` (staged layers) or `replicated` placement";
-
-fn dispatch_sharded(
-    shared: &RouterShared,
-    conns: &mut WorkerConns,
-    req: &Request,
-    deadline: Option<Instant>,
-) -> Response {
-    match req.op {
-        Op::Matvec => {
-            let Some(input) = req.input.as_deref() else {
-                return shared.reject_malformed(req.id, "matvec requires `input`");
-            };
-            match sharded_matvec(shared, conns, req.id, input, deadline) {
-                Ok(output) => {
-                    let mut resp = Response::ok(req.id);
-                    resp.output = Some(output);
-                    resp
-                }
-                Err(resp) => *resp,
-            }
-        }
-        Op::ForwardBatch => {
-            let Some(inputs) = req.inputs.as_deref() else {
-                return shared.reject_malformed(req.id, "forward_batch requires `inputs`");
-            };
-            // One scatter-gather per input, strictly in order — each
-            // backend therefore serves its shards in input order, which
-            // keeps every macro's RNG stream aligned with the
-            // single-node `forward_batch` path.
-            let mut outputs = Vec::with_capacity(inputs.len());
-            for input in inputs {
-                match sharded_matvec(shared, conns, req.id, input, deadline) {
-                    Ok(output) => outputs.push(output),
-                    Err(resp) => return *resp,
-                }
-            }
-            let mut resp = Response::ok(req.id);
-            resp.outputs = Some(outputs);
-            resp
-        }
-        Op::MatvecPartial => shared.reject_malformed(req.id, SHARDED_PARTIAL_REJECTION),
-        Op::Infer => shared.reject_malformed(req.id, SHARDED_INFER_REJECTION),
-        _ => unreachable!("compute ops only"),
-    }
-}
-
-/// One scatter-gather round: split `input` by the shard plan, send a
-/// `matvec_partial` to every shard backend (pipelined — all writes
-/// before any read), gather the per-row-tile partials in shard order,
-/// and reduce them with the inter-core adder fold.
-///
-/// Bit-identity: the shards return *unsummed* per-row-tile partials;
-/// concatenating them in shard order reconstructs the single-node
-/// row-tile sequence, and [`PartialSumAdder::sum_into`] performs the
-/// identical left fold — so the reduced output equals
-/// `AfprAccelerator::matvec` bit for bit.
-fn sharded_matvec(
-    shared: &RouterShared,
-    conns: &mut WorkerConns,
-    id: u64,
-    input: &[f32],
-    deadline: Option<Instant>,
-) -> Result<Vec<f32>, Box<Response>> {
-    // One placement view per scatter round: a concurrent rebalance
-    // swaps the *next* round's plan, never this one's.
-    let view = shared.current_view();
-    let Some(plan) = view.plan.clone() else {
-        return Err(Box::new(no_shard_capacity(shared, id)));
-    };
-    if input.len() != shared.k {
-        return Err(Box::new(shared.reject_malformed(
-            id,
-            format!(
-                "input has length {}, served layer expects {}",
-                input.len(),
-                shared.k
-            ),
-        )));
-    }
-
-    // Scatter: for each shard, pick the least-outstanding live replica
-    // and write its sub-request before reading any response. A send
-    // failure ejects the replica and retries a sibling immediately.
-    // `inflight` tracks the replica each shard's response is owed from;
-    // any abort path must close those dispatches and drop their
-    // connections (a stray response left buffered would desynchronize
-    // the next request).
-    let mut inflight: Vec<Option<Arc<BackendState>>> = vec![None; plan.shards.len()];
-    let mut tried: Vec<Vec<usize>> = vec![Vec::new(); plan.shards.len()];
-    for (si, shard) in plan.shards.iter().enumerate() {
-        loop {
-            if let Some(resp) = deadline_expired(shared, id, deadline) {
-                abort_scatter(conns, &inflight);
-                return Err(resp);
-            }
-            let Some(backend) = shared.pool.pick_among(&shard.replicas, &tried[si]) else {
-                abort_scatter(conns, &inflight);
-                return Err(Box::new(shard_unavailable(shared, id, si)));
-            };
-            let mut sub = Request::matvec_partial(
-                id,
-                shard.row_offset as u64,
-                input[shard.row_offset..shard.row_end()].to_vec(),
-            );
-            sub.deadline_ms = remaining_ms(deadline);
-            let timeout = attempt_timeout(deadline, shared.cfg.dispatch_timeout);
-            backend.begin_dispatch();
-            match conns.send(&backend, &sub, timeout) {
-                Ok(()) => {
-                    inflight[si] = Some(backend);
-                    break;
-                }
-                Err(_) => {
-                    backend.finish_dispatch(false, None);
-                    tried[si].push(backend.index);
-                    if backend.mark_dead() {
-                        shared.rebalance();
-                    }
-                    shared.metrics.serve().record_protocol_error();
-                }
-            }
-        }
-    }
-
-    // Gather in shard order; each shard contributes `tiles` unsummed
-    // full-width partials. A replica dying mid-gather is ejected and
-    // its shard re-dispatched (send + recv, synchronously) to a
-    // sibling within the deadline — the sibling holds the identical
-    // rows, so failover cannot change a single bit of the reduction.
-    let mut parts: Vec<Vec<f32>> = Vec::with_capacity(plan.tiles());
-    for (si, shard) in plan.shards.iter().enumerate() {
-        let mut backend = inflight[si].take().expect("scatter dispatched every shard");
-        'shard: loop {
-            let timeout = attempt_timeout(deadline, shared.cfg.dispatch_timeout);
-            let started = Instant::now();
-            match conns.recv(&backend, timeout) {
-                Ok(resp) if resp.status == Status::Ok => {
-                    backend.finish_dispatch(true, Some(started.elapsed()));
-                    // Each shard meters its own slice of the matvec;
-                    // the router ledger sums them per scatter round.
-                    if let Some(mj) = resp.energy_mj {
-                        shared.metrics.record_energy_mj(None, None, mj);
-                    }
-                    let Some(partials) = resp.partials else {
-                        abort_scatter(conns, &inflight);
-                        return Err(Box::new(Response::error(
-                            id,
-                            Status::Overloaded,
-                            format!("shard {si} returned no partials"),
-                        )));
-                    };
-                    if partials.len() != shard.tiles || partials.iter().any(|p| p.len() != shared.n)
-                    {
-                        abort_scatter(conns, &inflight);
-                        return Err(Box::new(Response::error(
-                            id,
-                            Status::Overloaded,
-                            format!("shard {si} returned malformed partials"),
-                        )));
-                    }
-                    parts.extend(partials);
-                    break 'shard;
-                }
-                Ok(resp) => {
-                    // Structured shard rejection (503 overloaded, 504
-                    // expired, …): the replica is alive and answering,
-                    // so propagate status/code upstream with the shard
-                    // named in the error text rather than failing over.
-                    backend.finish_dispatch(true, Some(started.elapsed()));
-                    if resp.status == Status::Overloaded {
-                        if let Some(ms) = resp.retry_after_ms {
-                            backend.note_retry_after(ms);
-                        }
-                    }
-                    abort_scatter(conns, &inflight);
-                    let mut out = Response::error(
-                        id,
-                        resp.status,
-                        format!(
-                            "shard {si} ({}): {}",
-                            backend.addr,
-                            resp.error.as_deref().unwrap_or("rejected")
-                        ),
-                    );
-                    out.retry_after_ms = resp.retry_after_ms;
-                    return Err(Box::new(out));
-                }
-                Err(_) => {
-                    // Transport death mid-gather: eject, then fail the
-                    // shard over to a sibling replica.
-                    backend.finish_dispatch(false, None);
-                    tried[si].push(backend.index);
-                    if backend.mark_dead() {
-                        shared.rebalance();
-                    }
-                    shared.metrics.serve().record_protocol_error();
-                    loop {
-                        if let Some(resp) = deadline_expired(shared, id, deadline) {
-                            abort_scatter(conns, &inflight);
-                            return Err(resp);
-                        }
-                        let Some(sibling) = shared.pool.pick_among(&shard.replicas, &tried[si])
-                        else {
-                            abort_scatter(conns, &inflight);
-                            return Err(Box::new(shard_unavailable(shared, id, si)));
-                        };
-                        let mut sub = Request::matvec_partial(
-                            id,
-                            shard.row_offset as u64,
-                            input[shard.row_offset..shard.row_end()].to_vec(),
-                        );
-                        sub.deadline_ms = remaining_ms(deadline);
-                        let timeout = attempt_timeout(deadline, shared.cfg.dispatch_timeout);
-                        sibling.begin_dispatch();
-                        match conns.send(&sibling, &sub, timeout) {
-                            Ok(()) => {
-                                backend = sibling;
-                                continue 'shard;
-                            }
-                            Err(_) => {
-                                sibling.finish_dispatch(false, None);
-                                tried[si].push(sibling.index);
-                                if sibling.mark_dead() {
-                                    shared.rebalance();
-                                }
-                                shared.metrics.serve().record_protocol_error();
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Reduce: fixed left fold in shard/tile order — identical bits to
-    // the single-node accumulation.
-    let refs: Vec<&[f32]> = parts.iter().map(Vec::as_slice).collect();
-    let mut adder = PartialSumAdder::new();
-    let mut output = Vec::with_capacity(shared.n);
-    adder.sum_into(&refs, &mut output);
-    Ok(output)
-}
-
-/// A `504` synthesized mid-failover when the caller's budget lapses.
-/// Shared by both transports so they answer byte-identically.
-pub(crate) fn deadline_expired(
-    shared: &RouterShared,
-    id: u64,
-    deadline: Option<Instant>,
-) -> Option<Box<Response>> {
-    let d = deadline?;
-    if Instant::now() < d {
-        return None;
-    }
-    shared
-        .metrics
-        .serve()
-        .runtime()
-        .record_rejection(RejectReason::DeadlineExpired);
-    Some(Box::new(Response::error(
-        id,
-        Status::DeadlineExpired,
-        "deadline expired during failover",
-    )))
-}
-
-/// Cleans up a failed scatter: every shard still owed a response gets
-/// its dispatch closed out and its connection dropped (the response,
-/// if it ever arrives, must not be mistaken for the next request's).
-fn abort_scatter(conns: &mut WorkerConns, inflight: &[Option<Arc<BackendState>>]) {
-    for backend in inflight.iter().flatten() {
-        backend.finish_dispatch(false, None);
-        conns.drop_conn(backend.index);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline dispatch (staged layer ranges + activation streaming)
-// ---------------------------------------------------------------------------
-
-/// One pipelined `infer`: look the model up in the startup catalog,
-/// split its top-level layers over the backends ([`PipelinePlan`]),
-/// and run the stages strictly in order — stage *i*'s `infer` sub-
-/// request carries `layer_start`/`layer_end` and the activation
-/// returned by stage *i−1* — forwarding the remaining deadline budget
-/// downstream at every hop.
-///
-/// Bit-identity: stage boundaries are top-level layer boundaries, the
-/// exact points where the single-node forward materializes an
-/// activation tensor, and every backend compiled the same models from
-/// the same seed — so the staged result equals a single-node `infer`
-/// bit for bit. A dead stage cannot be failed over (no other backend
-/// is assigned those layers in this plan), so it yields a structured
-/// `503` within the deadline.
-fn dispatch_pipeline(
-    shared: &RouterShared,
-    conns: &mut WorkerConns,
-    req: &Request,
-    deadline: Option<Instant>,
-) -> Response {
-    let call = match validate_pipeline(shared, req) {
-        Ok(call) => call,
-        Err(resp) => return *resp,
-    };
-    let PipelineCall {
-        model,
-        format,
-        plan,
-    } = call;
-    let model = model.as_str();
-    let format = format.as_str();
-    let input = req.input.as_ref().expect("validate_pipeline checked input");
-
-    let mut activation = input.clone();
-    for stage in &plan.stages {
-        let backend = shared.pool.get(stage.backend);
-        let mut sub = Request::infer(req.id, model, format, std::mem::take(&mut activation))
-            .with_layer_range(stage.start as u64, stage.end as u64);
-        sub.deadline_ms = remaining_ms(deadline);
-        let timeout = attempt_timeout(deadline, shared.cfg.dispatch_timeout);
-        backend.begin_dispatch();
-        let started = Instant::now();
-        match conns.call(&backend, &sub, timeout) {
-            Ok(resp) if resp.status == Status::Ok => {
-                backend.finish_dispatch(true, Some(started.elapsed()));
-                let Some(output) = resp.output else {
-                    return Response::error(
-                        req.id,
-                        Status::Overloaded,
-                        format!("stage {} returned no activation", stage.backend),
-                    );
-                };
-                activation = output;
-            }
-            Ok(resp) => {
-                // Structured stage rejection (503 overloaded, 504
-                // expired, …): propagate status/code upstream with the
-                // stage named in the error text.
-                backend.finish_dispatch(true, Some(started.elapsed()));
-                if resp.status == Status::Overloaded {
-                    if let Some(ms) = resp.retry_after_ms {
-                        backend.note_retry_after(ms);
-                    }
-                }
-                let mut out = Response::error(
-                    req.id,
-                    resp.status,
-                    format!(
-                        "stage {} ({}): {}",
-                        stage.backend,
-                        backend.addr,
-                        resp.error.as_deref().unwrap_or("rejected")
-                    ),
-                );
-                out.retry_after_ms = resp.retry_after_ms;
-                return out;
-            }
-            Err(_) => {
-                // A dead stage cannot be failed over: no other backend
-                // is assigned its layer range.
-                backend.finish_dispatch(false, None);
-                backend.mark_dead();
-                shared.metrics.serve().record_protocol_error();
-                let mut resp = Response::error(
-                    req.id,
-                    Status::Overloaded,
-                    format!(
-                        "pipeline stage {} ({}) unavailable",
-                        stage.backend, backend.addr
-                    ),
-                );
-                resp.retry_after_ms = Some(shared.retry_hint());
-                return resp;
-            }
-        }
-    }
-
-    shared.metrics.record_infer(model);
-    let mut resp = Response::ok(req.id);
-    resp.output = Some(activation);
-    resp
-}
-
-/// A validated pipelined `infer`: the model/format pair exists in the
-/// startup catalog, the input length matches, and the layer split is
-/// feasible. Shared by both transports so rejection behavior (and
-/// text) is identical.
-pub(crate) struct PipelineCall {
-    pub(crate) model: String,
-    pub(crate) format: String,
-    pub(crate) plan: PipelinePlan,
-}
-
-/// Runs every synchronous check of a pipelined `infer` request; see
-/// [`dispatch_pipeline`] for the staging itself.
-pub(crate) fn validate_pipeline(
-    shared: &RouterShared,
-    req: &Request,
-) -> Result<PipelineCall, Box<Response>> {
-    let Some(model) = req.model.as_deref() else {
-        return Err(Box::new(
-            shared.reject_malformed(req.id, "infer requires `model`"),
-        ));
-    };
-    let Some(input) = req.input.as_ref() else {
-        return Err(Box::new(
-            shared.reject_malformed(req.id, "infer requires `input`"),
-        ));
-    };
-    if req.layer_start.is_some() || req.layer_end.is_some() {
-        return Err(Box::new(shared.reject_malformed(
-            req.id,
-            "layer_start/layer_end are stage-level fields; the pipeline router owns \
-             layer planning",
-        )));
-    }
-    let Some(entry) = shared.catalog.iter().find(|m| m.model == model) else {
-        // Unknown model: a 404, not a malformed request — routers and
-        // retry layers treat it as non-retryable.
-        return Err(Box::new(Response::error(
-            req.id,
-            Status::NotFound,
-            format!(
-                "unknown model {model:?} (registered: {})",
-                catalog_names(shared)
-            ),
-        )));
-    };
-    let format = req.format.as_deref().unwrap_or("e2m5");
-    if !shared
-        .catalog
-        .iter()
-        .any(|m| m.model == model && m.format == format)
-    {
-        return Err(Box::new(shared.reject_malformed(
-            req.id,
-            format!("unknown format {format:?} (expected e2m5, e3m4 or int8)"),
-        )));
-    }
-    if input.len() as u64 != entry.input_len {
-        return Err(Box::new(shared.reject_malformed(
-            req.id,
-            format!(
-                "input has length {}, model {model} expects {}",
-                input.len(),
-                entry.input_len
-            ),
-        )));
-    }
-    let plan = PipelinePlan::compute(entry.layers as usize, shared.pool.len())
-        .map_err(|e| Box::new(shared.reject_malformed(req.id, format!("model {model}: {e}"))))?;
-    Ok(PipelineCall {
-        model: model.to_string(),
-        format: format.to_string(),
-        plan,
-    })
-}
-
-/// Comma-separated distinct model names in the catalog (for 404s).
-pub(crate) fn catalog_names(shared: &RouterShared) -> String {
-    let mut names: Vec<&str> = shared.catalog.iter().map(|m| m.model.as_str()).collect();
-    names.dedup();
-    names.join(", ")
-}
-
-/// A shard whose *every* replica is dead cannot be failed over, so
-/// sharded mode reports `503` and lets the client retry after the
-/// prober (or a register) brings a replica back.
-pub(crate) fn shard_unavailable(shared: &RouterShared, id: u64, shard: usize) -> Response {
-    let mut resp = Response::error(
-        id,
-        Status::Overloaded,
-        format!("shard {shard} has no live replica; retry shortly"),
-    );
-    resp.retry_after_ms = Some(shared.retry_hint());
-    resp
-}
-
-/// No placement plan at all: every member is gone or ineligible.
-pub(crate) fn no_shard_capacity(shared: &RouterShared, id: u64) -> Response {
-    let mut resp = Response::error(
-        id,
-        Status::Overloaded,
-        "no eligible backend for sharded placement; retry shortly",
-    );
-    resp.retry_after_ms = Some(shared.retry_hint());
-    resp
-}
-
 // ---------------------------------------------------------------------------
 // Per-worker backend connections
 // ---------------------------------------------------------------------------
@@ -1917,12 +1248,24 @@ pub(crate) fn no_shard_capacity(shared: &RouterShared, id: u64) -> Response {
 struct WorkerConns {
     /// Indexed by stable slot id; grows as backends join.
     conns: Vec<Option<Client>>,
+    /// Sub-calls written and not yet answered (reused across requests).
+    owed: Vec<Owed>,
+}
+
+/// A written sub-call whose response is still owed.
+struct Owed {
+    shard: usize,
+    backend: Arc<BackendState>,
+    sent: Instant,
+    /// The read timeout armed when it was written.
+    timeout: Duration,
 }
 
 impl WorkerConns {
     fn new(backends: usize) -> Self {
         Self {
             conns: (0..backends).map(|_| None).collect(),
+            owed: Vec::new(),
         }
     }
 
@@ -1969,10 +1312,17 @@ impl WorkerConns {
         result
     }
 
-    /// Receives one response (gather half).
-    fn recv(&mut self, backend: &BackendState, timeout: Duration) -> Result<Response, ClientError> {
+    /// Receives one response (gather half), first re-arming the read
+    /// timeout when one is given.
+    fn recv(
+        &mut self,
+        backend: &BackendState,
+        timeout: Option<Duration>,
+    ) -> Result<Response, ClientError> {
         let result = match self.slot(backend.index).as_mut() {
-            Some(c) => c.set_read_timeout(Some(timeout)).and_then(|()| c.recv()),
+            Some(c) => timeout
+                .map_or(Ok(()), |t| c.set_read_timeout(Some(t)))
+                .and_then(|()| c.recv()),
             None => Err(ClientError::Disconnected),
         };
         if result.is_err() {
@@ -1981,17 +1331,71 @@ impl WorkerConns {
         result
     }
 
-    /// Full round trip (replicated forwarding).
-    fn call(
-        &mut self,
-        backend: &BackendState,
-        req: &Request,
-        timeout: Duration,
-    ) -> Result<Response, ClientError> {
-        let result = self.client(backend, timeout).and_then(|c| c.call(req));
-        if result.is_err() {
-            self.drop_conn(backend.index);
+    /// Drives one dispatch machine to its response. Every owed
+    /// sub-request is written before any response is read, and
+    /// responses are read in shard order, so the shards of a scatter
+    /// round compute concurrently.
+    fn drive(&mut self, shared: &RouterShared, mut machine: Machine) -> Response {
+        let mut now = Instant::now();
+        let mut step = machine.next(shared, now);
+        loop {
+            step = match step {
+                Step::Send { shard, backend } => {
+                    let (sub, timeout) = machine.sub_request(shared, shard, now);
+                    let sent = now;
+                    backend.begin_dispatch();
+                    let written = self.send(&backend, &sub, timeout);
+                    now = Instant::now();
+                    if written.is_ok() {
+                        self.owed.push(Owed {
+                            shard,
+                            backend,
+                            sent,
+                            timeout,
+                        });
+                        machine.next(shared, now)
+                    } else {
+                        backend.finish_dispatch(false, None);
+                        machine.on_transport_fail(shared, shard, backend.index, now)
+                    }
+                }
+                Step::Wait => {
+                    let first = (0..self.owed.len())
+                        .min_by_key(|&i| self.owed[i].shard)
+                        .expect("a waiting machine is owed a response");
+                    let Owed {
+                        shard,
+                        backend,
+                        sent,
+                        timeout,
+                    } = self.owed.swap_remove(first);
+                    // The budget left may have shrunk since the write.
+                    let fresh = machine.attempt_timeout(shared, now);
+                    let read = self.recv(&backend, (fresh != timeout).then_some(fresh));
+                    now = Instant::now();
+                    match read {
+                        Ok(resp) => {
+                            backend.finish_dispatch(true, Some(now.duration_since(sent)));
+                            machine.on_response(shared, shard, backend.index, resp, now)
+                        }
+                        Err(_) => {
+                            backend.finish_dispatch(false, None);
+                            machine.on_transport_fail(shared, shard, backend.index, now)
+                        }
+                    }
+                }
+                Step::Done(resp) => {
+                    // Shards still owed when a machine finishes early:
+                    // close their dispatches and drop their connections,
+                    // so a late response is never read as the next
+                    // request's.
+                    while let Some(o) = self.owed.pop() {
+                        o.backend.finish_dispatch(false, None);
+                        self.drop_conn(o.backend.index);
+                    }
+                    return resp;
+                }
+            };
         }
-        result
     }
 }
