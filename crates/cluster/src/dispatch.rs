@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use afpr_runtime::RejectReason;
+use afpr_serve::front::Tier;
 use afpr_serve::{Op, Request, Response, Status, MAX_DEADLINE_MS, PROTOCOL_VERSION};
 use afpr_xbar::PartialSumAdder;
 
@@ -109,6 +110,8 @@ enum Kind {
         plan: PipelinePlan,
         stage: usize,
         activation: Vec<f32>,
+        /// The stages' metered energy so far, summed in stage order.
+        energy_mj: f64,
         owed: bool,
     },
 }
@@ -307,6 +310,7 @@ fn staged(shared: &RouterShared, req: Request) -> Result<Kind, Box<Response>> {
         plan,
         stage: 0,
         activation: input,
+        energy_mj: 0.0,
         owed: false,
     })
 }
@@ -414,11 +418,12 @@ impl Machine {
             },
             Kind::Pipeline {
                 model,
+                format,
                 plan,
                 stage,
                 activation,
+                energy_mj,
                 owed,
-                ..
             } => {
                 if *owed {
                     return Step::Wait;
@@ -431,10 +436,18 @@ impl Machine {
                             backend: shared.pool.get(s.backend),
                         }
                     }
+                    // Answered as a single backend answers an `infer`:
+                    // with the served format and the whole model's
+                    // energy, credited once.
                     None => {
                         shared.metrics.record_infer(model);
+                        shared
+                            .metrics
+                            .record_energy_mj(Some(format), Some(model), *energy_mj);
                         let mut resp = Response::ok(id);
                         resp.output = Some(std::mem::take(activation));
+                        resp.energy_mj = Some(*energy_mj);
+                        resp.format = Some(std::mem::take(format));
                         Step::Done(resp)
                     }
                 }
@@ -498,6 +511,7 @@ impl Machine {
                 plan,
                 stage,
                 activation,
+                energy_mj,
                 owed,
                 ..
             } => {
@@ -515,6 +529,7 @@ impl Machine {
                         format!("stage {backend} returned no activation"),
                     ));
                 };
+                *energy_mj += resp.energy_mj.unwrap_or(0.0);
                 *activation = output;
                 *stage += 1;
             }

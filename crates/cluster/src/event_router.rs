@@ -1,31 +1,24 @@
-//! Event-driven router transport (the `reactor` transport).
+//! The router's side of the reactor front door: pooled upstream
+//! connections that carry dispatch machines' sub-calls.
 //!
-//! One thread owns the listener, every client socket and a bounded
-//! pool of upstream connections per backend, all multiplexed over one
-//! `afpr_reactor::Poller`. Each compute request runs as a
-//! [`crate::dispatch`] machine, the same one the blocking workers
-//! drive; this module carries its sub-calls:
+//! The front door ([`afpr_serve::front`]) owns the listener, every
+//! client socket, frame assembly and the in-order answer queues. Each
+//! compute request it hands over runs as a [`crate::dispatch`]
+//! machine, the same one the blocking workers drive; this module
+//! carries the machine's sub-calls over upstream connections that
+//! share the door's poller and slab:
 //!
 //! ```text
 //!  client frame ──▶ admit ──▶ Machine ──Send──▶ sub-call borrows an upstream conn
 //!                               ▲                          │
 //!                               └── on_response / on_transport_fail
 //!                               │
-//!                             Done ──▶ client FIFO queue ──▶ flush
+//!                             Done ──▶ Front::resolve ──▶ client queue
 //! ```
 //!
-//! A scatter round's shards compute concurrently and are gathered as
-//! they arrive; the machine reduces only once every shard is in, in
-//! shard order, so arrival order cannot perturb bit-identity. Many
-//! requests progress concurrently on one core.
-//!
-//! Invariants shared with `afpr_serve`'s event server: responses per
-//! client connection are released strictly in request order; readable
-//! interest is dropped while a client's write buffer or pipeline depth
-//! is over budget (backpressure); connections past
-//! `cfg.max_connections` get a structured `503` and are closed; idle
-//! and mid-frame-stalled (slowloris) clients are reaped by a periodic
-//! sweep.
+//! A scatter round's shards compute concurrently (the machine reduces
+//! in shard order whatever the arrival order), and many requests
+//! progress at once on one core.
 //!
 //! Upstream connections are *not* multiplexed: a sub-call owns its
 //! connection until the response arrives, so dropping a failed conn
@@ -36,45 +29,22 @@
 //! a dead backend refuses instantly.
 
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use afpr_reactor::{Event, Events, FrameConn, Interest, Poller, Slab, WakerSource, SENTINEL_BASE};
+use afpr_reactor::{Event, FrameConn, Interest, Slab};
+use afpr_serve::front::{EventTier, Sock};
 use afpr_serve::protocol;
-use afpr_serve::{Encoding, Op, Request, Response, Status};
+use afpr_serve::{Encoding, Request, Response};
 
 use crate::dispatch::{admit, Admit, Machine, Step};
-use crate::router::{ClusterConfig, RouterShared};
+use crate::router::RouterShared;
 
-/// Token the listener is registered under.
-pub(crate) const LISTENER_TOKEN: u64 = SENTINEL_BASE;
-/// Token the drain waker's receive half is registered under.
-pub(crate) const WAKER_TOKEN: u64 = SENTINEL_BASE + 1;
+type Front<'f, 'a> = afpr_serve::front::Front<'f, Upstreams<'a>>;
 
-const POLL_TIMEOUT: Duration = Duration::from_millis(25);
-const SWEEP_PERIOD: Duration = Duration::from_millis(10);
-const WRITE_HIGH_WATER: usize = 1 << 20;
-const MAX_PIPELINED: usize = 1024;
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// One queued response slot on a client connection (strict FIFO).
-/// `Ready` is boxed: a `Response` dwarfs the `Waiting` bookkeeping
-/// and queue slots should not pay its size while pipelined.
-enum Entry {
-    Ready(Box<Response>),
-    Waiting { op: Op, t0: Instant, machine: u64 },
-}
-
-struct ClientConn {
-    io: FrameConn,
-    /// Response slots in request order, each with the encoding its
-    /// request arrived in — the one its answer goes out in.
-    queue: VecDeque<(Encoding, Entry)>,
-    interest: Interest,
-    close_after_flush: bool,
-}
-
-struct UpstreamConn {
+pub(crate) struct UpstreamConn {
     io: FrameConn,
     backend: usize,
     /// The sub-call currently owed a response on this connection
@@ -85,11 +55,6 @@ struct UpstreamConn {
     /// When the owned attempt was sent (for latency bookkeeping).
     attempt_started: Instant,
     interest: Interest,
-}
-
-enum Conn {
-    Client(Box<ClientConn>),
-    Upstream(Box<UpstreamConn>),
 }
 
 /// Identifies one sub-call: the owning machine plus, for scatter
@@ -117,71 +82,81 @@ struct BackendIo {
     waiting: VecDeque<SubTag>,
 }
 
-struct EventRouter<'a> {
+/// The router's state on the reactor thread: running machines and the
+/// per-backend upstream pools.
+pub(crate) struct Upstreams<'a> {
     shared: &'a RouterShared,
-    poller: &'a Poller,
-    conns: Slab<Conn>,
     machines: Slab<Running>,
     backends: Vec<BackendIo>,
-    clients: usize,
 }
 
-/// Runs the event loop until shutdown completes. The listener and the
-/// drain waker's receive half must already be registered under
-/// [`LISTENER_TOKEN`] and [`WAKER_TOKEN`].
-pub(crate) fn run(
-    shared: &RouterShared,
-    listener: &TcpListener,
-    poller: &Poller,
-    waker: &WakerSource,
-) {
-    let mut er = EventRouter {
-        shared,
-        poller,
-        conns: Slab::new(),
-        machines: Slab::new(),
-        backends: (0..shared.pool.len())
-            .map(|_| BackendIo::default())
-            .collect(),
-        clients: 0,
-    };
-    let mut events = Events::with_capacity(1024);
-    let mut last_sweep = Instant::now();
-    let mut draining = false;
+impl<'a> EventTier for Upstreams<'a> {
+    type Tier = RouterShared;
+    type Pending = u64;
+    type Peer = Box<UpstreamConn>;
+    /// Short, because the sweep also times out upstream attempts.
+    const SWEEP_PERIOD: Duration = Duration::from_millis(10);
 
-    loop {
-        if er.poller.wait(&mut events, Some(POLL_TIMEOUT)).is_err() {
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        }
-        for ev in events.iter() {
-            match ev.token {
-                LISTENER_TOKEN => er.accept_ready(listener, !draining),
-                WAKER_TOKEN => waker.drain(),
-                _ => er.handle_conn_event(ev),
-            }
-        }
-        let now = Instant::now();
-        if now.duration_since(last_sweep) >= SWEEP_PERIOD {
-            last_sweep = now;
-            er.sweep(now);
-        }
-        if er.shared.is_shutting_down() {
-            if !draining {
-                draining = true;
-                let _ = er.poller.deregister(listener);
-                er.begin_drain();
-            }
-            if er.clients == 0 && er.machines.is_empty() {
-                return;
+    fn admit(
+        &mut self,
+        front: &mut Front<'_, 'a>,
+        client: u64,
+        enc: Encoding,
+        req: Request,
+        t0: Instant,
+    ) {
+        let op = req.op;
+        match admit(self.shared, req, t0) {
+            Admit::Reply(resp) => front.answer(client, enc, op, t0, resp),
+            Admit::Run(machine) => {
+                let mid = self.machines.insert(Running { client, machine });
+                front.wait(client, enc, op, t0, mid);
+                // Started after the waiting entry exists, so a
+                // synchronous completion (dead backend, empty batch)
+                // still finds its queue slot.
+                self.drive(front, mid, Machine::next);
             }
         }
     }
+
+    fn peer_event(&mut self, front: &mut Front<'_, 'a>, token: u64, ev: Event) {
+        if ev.failed {
+            return self.upstream_transport_fail(front, token);
+        }
+        if ev.readable {
+            self.upstream_read(front, token);
+        }
+        if ev.writable {
+            self.upstream_flush(front, token);
+        }
+    }
+
+    fn sweep(&mut self, front: &mut Front<'_, 'a>, now: Instant) {
+        for token in front.conns.tokens() {
+            let timed_out = match front.conns.get(token) {
+                Some(Sock::Peer(u)) => u.owner.is_some() && now >= u.expires,
+                _ => false,
+            };
+            if timed_out {
+                // Attempt timed out: same as a socket-timeout transport
+                // failure on the blocking path.
+                self.upstream_transport_fail(front, token);
+            }
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.machines.is_empty()
+    }
 }
 
-impl EventRouter<'_> {
-    fn cfg(&self) -> &ClusterConfig {
-        &self.shared.cfg
+impl<'a> Upstreams<'a> {
+    pub(crate) fn new(shared: &'a RouterShared) -> Self {
+        Self {
+            shared,
+            machines: Slab::new(),
+            backends: Vec::new(),
+        }
     }
 
     /// Per-backend pool bookkeeping, indexed by stable slot id; grows
@@ -193,210 +168,13 @@ impl EventRouter<'_> {
         &mut self.backends[index]
     }
 
-    // -- accept / admission ------------------------------------------------
-
-    fn accept_ready(&mut self, listener: &TcpListener, accepting: bool) {
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            };
-            self.shared.metrics.serve().record_connection();
-            if !accepting {
-                continue;
-            }
-            if self.clients >= self.cfg().max_connections {
-                self.shared.metrics.serve().record_connection_dropped();
-                // Best-effort structured refusal before the drop.
-                if let Ok(mut io) = FrameConn::new(stream) {
-                    let mut resp =
-                        Response::error(0, Status::Overloaded, "connection limit reached");
-                    resp.retry_after_ms = Some(self.shared.retry_hint());
-                    if let Ok(payload) = protocol::encode_message(&resp) {
-                        io.queue_frame(&payload);
-                        let _ = io.flush();
-                    }
-                }
-                continue;
-            }
-            let Ok(io) = FrameConn::new(stream) else {
-                self.shared.metrics.serve().record_connection_dropped();
-                continue;
-            };
-            let token = self.conns.insert(Conn::Client(Box::new(ClientConn {
-                io,
-                queue: VecDeque::new(),
-                interest: Interest::READABLE,
-                close_after_flush: false,
-            })));
-            let Some(Conn::Client(c)) = self.conns.get(token) else {
-                unreachable!("just inserted");
-            };
-            if self
-                .poller
-                .register(c.io.stream(), token, Interest::READABLE)
-                .is_err()
-            {
-                self.conns.remove(token);
-                self.shared.metrics.serve().record_connection_dropped();
-                continue;
-            }
-            self.clients += 1;
-        }
-    }
-
-    fn handle_conn_event(&mut self, ev: Event) {
-        match self.conns.get(ev.token) {
-            None => {} // stale token from an earlier close in this batch
-            Some(Conn::Client(_)) => {
-                if ev.failed {
-                    self.close_client(ev.token);
-                } else {
-                    if ev.readable {
-                        self.client_read(ev.token);
-                    }
-                    if ev.writable {
-                        self.client_finish_io(ev.token);
-                    }
-                }
-            }
-            Some(Conn::Upstream(_)) => {
-                if ev.failed {
-                    self.upstream_transport_fail(ev.token);
-                } else {
-                    if ev.readable {
-                        self.upstream_read(ev.token);
-                    }
-                    if ev.writable {
-                        self.upstream_flush(ev.token);
-                    }
-                }
-            }
-        }
-    }
-
-    // -- client side -------------------------------------------------------
-
-    fn client_read(&mut self, token: u64) {
-        let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-            return;
-        };
-        if c.io.fill().is_err() {
-            self.shared.metrics.serve().record_protocol_error();
-            self.close_client(token);
-            return;
-        }
-        loop {
-            let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-                return;
-            };
-            if c.close_after_flush {
-                break;
-            }
-            match c.io.next_frame(self.shared.cfg.max_frame_bytes) {
-                Ok(Some(payload)) => self.on_client_frame(token, &payload),
-                Ok(None) => break,
-                Err(too_large) => {
-                    // Oversized announcement: structured 400, then cut
-                    // the connection (mirrors the blocking loop).
-                    self.shared.metrics.serve().record_protocol_error();
-                    let resp = self.shared.reject_malformed(
-                        0,
-                        format!(
-                            "frame of {} bytes exceeds cap of {}",
-                            too_large.announced, too_large.max
-                        ),
-                    );
-                    let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-                        return;
-                    };
-                    c.queue
-                        .push_back((Encoding::Json, Entry::Ready(Box::new(resp))));
-                    c.close_after_flush = true;
-                    break;
-                }
-            }
-        }
-        let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-            return;
-        };
-        if c.io.is_eof() {
-            if c.io.pending_read_bytes() > 0 && !c.close_after_flush {
-                // Truncated mid-frame EOF: nothing sensible to answer.
-                self.shared.metrics.serve().record_protocol_error();
-                self.close_client(token);
-                return;
-            }
-            c.close_after_flush = true;
-        }
-        self.client_pump(token);
-    }
-
-    fn on_client_frame(&mut self, token: u64, payload: &[u8]) {
-        let t0 = Instant::now();
-        let enc = Encoding::of(payload);
-        let req = match protocol::parse_message::<Request>(payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // Undecodable payload inside a good frame: answer 400,
-                // keep the connection — framing is in sync.
-                let resp = self.shared.reject_malformed(0, e);
-                if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back((enc, Entry::Ready(Box::new(resp))));
-                }
-                return;
-            }
-        };
-        let op = req.op;
-        match admit(self.shared, req, t0) {
-            Admit::Reply(resp) => {
-                self.shared
-                    .metrics
-                    .record_request(op, resp.is_ok(), t0.elapsed());
-                if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back((enc, Entry::Ready(resp)));
-                    if op == Op::Shutdown {
-                        c.close_after_flush = true;
-                    }
-                }
-            }
-            Admit::Run(machine) => {
-                let mid = self.machines.insert(Running {
-                    client: token,
-                    machine,
-                });
-                if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                    c.queue.push_back((
-                        enc,
-                        Entry::Waiting {
-                            op,
-                            t0,
-                            machine: mid,
-                        },
-                    ));
-                }
-                // Started after the `Waiting` entry exists, so a
-                // synchronous completion (dead backend, empty batch)
-                // still finds its queue slot.
-                self.drive(mid, Machine::next);
-            }
-        }
-        // Drain-then-stop: during shutdown each connection finishes
-        // the request it is on, then closes.
-        if self.shared.is_shutting_down() {
-            if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                c.close_after_flush = true;
-            }
-        }
-    }
-
     /// Feeds one event to machine `mid`, then carries out its steps
     /// until it waits or finishes. Events nest — a write that fails
     /// synchronously feeds the machine from inside `subcall` — so the
     /// machine is looked up afresh after every send.
     fn drive(
         &mut self,
+        front: &mut Front<'_, 'a>,
         mid: u64,
         event: impl FnOnce(&mut Machine, &RouterShared, Instant) -> Step,
     ) {
@@ -408,13 +186,13 @@ impl EventRouter<'_> {
         loop {
             match step {
                 Step::Wait => return,
-                Step::Done(resp) => return self.complete(mid, resp),
+                Step::Done(resp) => return self.complete(front, mid, resp),
                 Step::Send { shard, backend } => {
                     let tag = SubTag {
                         machine: mid,
                         shard,
                     };
-                    let started = self.subcall(tag, backend.index);
+                    let started = self.subcall(front, tag, backend.index);
                     let Some(run) = self.machines.get_mut(mid) else {
                         return;
                     };
@@ -431,141 +209,42 @@ impl EventRouter<'_> {
     }
 
     /// A sub-call failed in transport; its machine fails over or answers.
-    fn sub_failed(&mut self, tag: SubTag, index: usize) {
-        self.drive(tag.machine, |m, shared, now| {
+    fn sub_failed(&mut self, front: &mut Front<'_, 'a>, tag: SubTag, index: usize) {
+        self.drive(front, tag.machine, |m, shared, now| {
             m.on_transport_fail(shared, tag.shard, index, now)
         });
     }
 
-    /// Releases a finished response into the client's FIFO and flushes
-    /// whatever has become releasable.
-    fn complete(&mut self, mid: u64, resp: Response) {
+    /// Hands a finished response to its client's queue. Sub-calls the
+    /// machine still owes are abandoned first.
+    fn complete(&mut self, front: &mut Front<'_, 'a>, mid: u64, resp: Response) {
         let Some(Running { client, machine }) = self.machines.remove(mid) else {
             return;
         };
         if machine.owed().next().is_some() {
-            self.abandon(mid);
+            self.abandon(front, mid);
         }
-        let ok = resp.is_ok();
-        let Some(Conn::Client(c)) = self.conns.get_mut(client) else {
-            return; // client hung up; the response has nowhere to go
-        };
-        let mut resp = Some(resp);
-        let mut meta = None;
-        for (_, entry) in c.queue.iter_mut() {
-            if let Entry::Waiting { op, t0, machine } = entry {
-                if *machine == mid {
-                    meta = Some((*op, *t0));
-                    *entry = Entry::Ready(Box::new(resp.take().expect("one matching entry")));
-                    break;
-                }
-            }
-        }
-        let Some((op, t0)) = meta else {
-            return;
-        };
-        self.shared.metrics.record_request(op, ok, t0.elapsed());
-        self.client_pump(client);
+        front.resolve(self, client, |&m| m == mid, resp);
     }
-
-    fn client_pump(&mut self, token: u64) {
-        loop {
-            let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-                return;
-            };
-            match c.queue.front() {
-                Some((_, Entry::Ready(_))) => {
-                    let Some((enc, Entry::Ready(resp))) = c.queue.pop_front() else {
-                        unreachable!("front() said Ready");
-                    };
-                    match enc.encode(&*resp) {
-                        Ok(payload) => c.io.queue_frame(&payload),
-                        Err(_) => {
-                            self.close_client(token);
-                            return;
-                        }
-                    }
-                }
-                Some((_, Entry::Waiting { .. })) | None => break,
-            }
-        }
-        self.client_finish_io(token);
-    }
-
-    fn client_finish_io(&mut self, token: u64) {
-        let Some(Conn::Client(c)) = self.conns.get_mut(token) else {
-            return;
-        };
-        if c.io.flush().is_err() {
-            self.close_client(token);
-            return;
-        }
-        if c.close_after_flush && c.queue.is_empty() && !c.io.wants_write() {
-            self.close_client(token);
-            return;
-        }
-        let desired = Interest {
-            readable: !c.close_after_flush
-                && c.io.pending_write_bytes() < WRITE_HIGH_WATER
-                && c.queue.len() < MAX_PIPELINED,
-            writable: c.io.wants_write(),
-        };
-        if desired != c.interest
-            && self
-                .poller
-                .reregister(c.io.stream(), token, desired)
-                .is_ok()
-        {
-            if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                c.interest = desired;
-            }
-        }
-    }
-
-    /// Closes a client connection. Machines it owns keep running (the
-    /// backends' bookkeeping must balance); their responses are
-    /// dropped at completion when the token no longer resolves.
-    fn close_client(&mut self, token: u64) {
-        if let Some(Conn::Client(c)) = self.conns.get(token) {
-            let _ = self.poller.deregister(c.io.stream());
-            self.conns.remove(token);
-            self.clients -= 1;
-        }
-    }
-
-    fn begin_drain(&mut self) {
-        for token in self.conns.tokens() {
-            if let Some(Conn::Client(c)) = self.conns.get_mut(token) {
-                c.close_after_flush = true;
-            }
-        }
-        for token in self.conns.tokens() {
-            if matches!(self.conns.get(token), Some(Conn::Client(_))) {
-                self.client_finish_io(token);
-            }
-        }
-    }
-
-    // -- sub-call plumbing -------------------------------------------------
 
     /// Starts a sub-call against backend `index`: reuse a pooled conn,
     /// open a new one under the cap, or queue until one frees. False
     /// when the connect failed; the machine has yet to hear of it.
-    fn subcall(&mut self, tag: SubTag, index: usize) -> bool {
+    fn subcall(&mut self, front: &mut Front<'_, 'a>, tag: SubTag, index: usize) -> bool {
         if let Some(token) = self.backend_io(index).free.pop() {
             self.shared.pool.get(index).begin_dispatch();
-            self.start_on_conn(token, tag);
+            self.start_on_conn(front, token, tag);
             return true;
         }
-        if self.backend_io(index).total >= self.cfg().conns_per_backend {
+        if self.backend_io(index).total >= self.shared.cfg.conns_per_backend {
             self.backend_io(index).waiting.push_back(tag);
             return true;
         }
         self.shared.pool.get(index).begin_dispatch();
-        match self.connect_upstream(index) {
+        match self.connect_upstream(front, index) {
             Ok(token) => {
                 self.backend_io(index).total += 1;
-                self.start_on_conn(token, tag);
+                self.start_on_conn(front, token, tag);
                 true
             }
             Err(_) => {
@@ -575,7 +254,11 @@ impl EventRouter<'_> {
         }
     }
 
-    fn connect_upstream(&mut self, index: usize) -> std::io::Result<u64> {
+    fn connect_upstream(
+        &mut self,
+        front: &mut Front<'_, 'a>,
+        index: usize,
+    ) -> std::io::Result<u64> {
         let addr = self
             .shared
             .pool
@@ -588,7 +271,7 @@ impl EventRouter<'_> {
             })?;
         let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         let io = FrameConn::new(stream)?;
-        let token = self.conns.insert(Conn::Upstream(Box::new(UpstreamConn {
+        let token = front.conns.insert(Sock::Peer(Box::new(UpstreamConn {
             io,
             backend: index,
             owner: None,
@@ -596,14 +279,14 @@ impl EventRouter<'_> {
             attempt_started: Instant::now(),
             interest: Interest::READABLE,
         })));
-        let Some(Conn::Upstream(u)) = self.conns.get(token) else {
+        let Some(Sock::Peer(u)) = front.conns.get(token) else {
             unreachable!("just inserted");
         };
-        if let Err(e) = self
+        if let Err(e) = front
             .poller
             .register(u.io.stream(), token, Interest::READABLE)
         {
-            self.conns.remove(token);
+            front.conns.remove(token);
             return Err(e);
         }
         Ok(token)
@@ -612,15 +295,15 @@ impl EventRouter<'_> {
     /// Sends the sub-request on an owned connection, built now so that
     /// it forwards only the deadline budget left after queueing.
     /// `begin_dispatch` has already been called for this attempt.
-    fn start_on_conn(&mut self, token: u64, tag: SubTag) {
+    fn start_on_conn(&mut self, front: &mut Front<'_, 'a>, token: u64, tag: SubTag) {
         let now = Instant::now();
         let Some(run) = self.machines.get_mut(tag.machine) else {
             // The machine vanished while the conn was being acquired:
             // undo the dispatch count and return the conn to the pool.
-            if let Some(Conn::Upstream(u)) = self.conns.get(token) {
+            if let Some(Sock::Peer(u)) = front.conns.get(token) {
                 let index = u.backend;
                 self.shared.pool.get(index).finish_dispatch(false, None);
-                self.release_conn(token);
+                self.release_conn(front, token);
             }
             return;
         };
@@ -628,32 +311,32 @@ impl EventRouter<'_> {
         let payload = match protocol::encode_message(&sub) {
             Ok(p) => p,
             Err(_) => {
-                let Some(Conn::Upstream(u)) = self.conns.get(token) else {
+                let Some(Sock::Peer(u)) = front.conns.get(token) else {
                     return;
                 };
                 let index = u.backend;
                 self.shared.pool.get(index).finish_dispatch(false, None);
-                self.drop_upstream(token);
-                self.sub_failed(tag, index);
+                self.drop_upstream(front, token);
+                self.sub_failed(front, tag, index);
                 return;
             }
         };
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         u.owner = Some(tag);
         u.attempt_started = now;
         u.expires = now + timeout;
         u.io.queue_frame(&payload);
-        self.upstream_flush(token);
+        self.upstream_flush(front, token);
     }
 
-    fn upstream_flush(&mut self, token: u64) {
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+    fn upstream_flush(&mut self, front: &mut Front<'_, 'a>, token: u64) {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         if u.io.flush().is_err() {
-            self.upstream_transport_fail(token);
+            self.upstream_transport_fail(front, token);
             return;
         }
         let desired = Interest {
@@ -661,23 +344,23 @@ impl EventRouter<'_> {
             writable: u.io.wants_write(),
         };
         if desired != u.interest
-            && self
+            && front
                 .poller
                 .reregister(u.io.stream(), token, desired)
                 .is_ok()
         {
-            if let Some(Conn::Upstream(u)) = self.conns.get_mut(token) {
+            if let Some(Sock::Peer(u)) = front.conns.get_mut(token) {
                 u.interest = desired;
             }
         }
     }
 
-    fn upstream_read(&mut self, token: u64) {
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+    fn upstream_read(&mut self, front: &mut Front<'_, 'a>, token: u64) {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         if u.io.fill().is_err() {
-            self.upstream_transport_fail(token);
+            self.upstream_transport_fail(front, token);
             return;
         }
         match u.io.next_frame(self.shared.cfg.max_frame_bytes) {
@@ -685,30 +368,30 @@ impl EventRouter<'_> {
                 if u.owner.is_none() {
                     // Unsolicited data on a pooled conn: framing can no
                     // longer be trusted; drop it.
-                    self.drop_upstream(token);
+                    self.drop_upstream(front, token);
                     return;
                 }
                 match protocol::parse_message::<Response>(&payload) {
-                    Ok(resp) => self.sub_response(token, resp),
-                    Err(_) => self.upstream_transport_fail(token),
+                    Ok(resp) => self.sub_response(front, token, resp),
+                    Err(_) => self.upstream_transport_fail(front, token),
                 }
             }
             Ok(None) => {
                 if u.io.is_eof() {
                     if u.owner.is_some() {
-                        self.upstream_transport_fail(token);
+                        self.upstream_transport_fail(front, token);
                     } else {
-                        self.drop_upstream(token);
+                        self.drop_upstream(front, token);
                     }
                 }
             }
-            Err(_) => self.upstream_transport_fail(token),
+            Err(_) => self.upstream_transport_fail(front, token),
         }
     }
 
     /// A structured response arrived for the owning sub-call.
-    fn sub_response(&mut self, token: u64, resp: Response) {
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+    fn sub_response(&mut self, front: &mut Front<'_, 'a>, token: u64, resp: Response) {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         let Some(tag) = u.owner.take() else {
@@ -724,11 +407,11 @@ impl EventRouter<'_> {
         if desynced {
             // Bytes past the response frame: the backend broke the
             // one-frame-per-request contract; the conn can't be pooled.
-            self.drop_upstream(token);
+            self.drop_upstream(front, token);
         } else {
-            self.release_conn(token);
+            self.release_conn(front, token);
         }
-        self.drive(tag.machine, |m, shared, now| {
+        self.drive(front, tag.machine, |m, shared, now| {
             m.on_response(shared, tag.shard, index, resp, now)
         });
     }
@@ -736,8 +419,8 @@ impl EventRouter<'_> {
     /// Transport failure on an upstream conn (I/O error, EOF mid-call,
     /// attempt timeout): close out the dispatch, drop the conn, and
     /// let the owning machine react.
-    fn upstream_transport_fail(&mut self, token: u64) {
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+    fn upstream_transport_fail(&mut self, front: &mut Front<'_, 'a>, token: u64) {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         let owner = u.owner.take();
@@ -745,9 +428,9 @@ impl EventRouter<'_> {
         if owner.is_some() {
             self.shared.pool.get(index).finish_dispatch(false, None);
         }
-        self.drop_upstream(token);
+        self.drop_upstream(front, token);
         if let Some(tag) = owner {
-            self.sub_failed(tag, index);
+            self.sub_failed(front, tag, index);
         }
     }
 
@@ -755,39 +438,39 @@ impl EventRouter<'_> {
     /// ones are purged, and in-flight ones get their dispatches closed
     /// out and their conns dropped (a stray response must never be
     /// mistaken for another request's).
-    fn abandon(&mut self, mid: u64) {
+    fn abandon(&mut self, front: &mut Front<'_, 'a>, mid: u64) {
         for b in &mut self.backends {
             b.waiting.retain(|t| t.machine != mid);
         }
-        for token in self.conns.tokens() {
-            let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+        for token in front.conns.tokens() {
+            let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
                 continue;
             };
             if u.owner.is_some_and(|t| t.machine == mid) {
                 u.owner = None;
                 let index = u.backend;
                 self.shared.pool.get(index).finish_dispatch(false, None);
-                self.drop_upstream(token);
+                self.drop_upstream(front, token);
             }
         }
     }
 
     /// Returns an upstream conn to its backend pool, or hands it
     /// straight to the next queued sub-call.
-    fn release_conn(&mut self, token: u64) {
-        let Some(Conn::Upstream(u)) = self.conns.get_mut(token) else {
+    fn release_conn(&mut self, front: &mut Front<'_, 'a>, token: u64) {
+        let Some(Sock::Peer(u)) = front.conns.get_mut(token) else {
             return;
         };
         u.owner = None;
         let index = u.backend;
         let desired = Interest::READABLE;
         if desired != u.interest
-            && self
+            && front
                 .poller
                 .reregister(u.io.stream(), token, desired)
                 .is_ok()
         {
-            if let Some(Conn::Upstream(u)) = self.conns.get_mut(token) {
+            if let Some(Sock::Peer(u)) = front.conns.get_mut(token) {
                 u.interest = desired;
             }
         }
@@ -795,7 +478,7 @@ impl EventRouter<'_> {
         while let Some(tag) = self.backend_io(index).waiting.pop_front() {
             if self.machines.get(tag.machine).is_some() {
                 self.shared.pool.get(index).begin_dispatch();
-                self.start_on_conn(token, tag);
+                self.start_on_conn(front, token, tag);
                 return;
             }
         }
@@ -803,54 +486,23 @@ impl EventRouter<'_> {
     }
 
     /// Closes an upstream conn and removes it from pool bookkeeping.
-    fn drop_upstream(&mut self, token: u64) {
-        let Some(Conn::Upstream(u)) = self.conns.get(token) else {
+    fn drop_upstream(&mut self, front: &mut Front<'_, 'a>, token: u64) {
+        let Some(Sock::Peer(u)) = front.conns.get(token) else {
             return;
         };
         let index = u.backend;
-        let _ = self.poller.deregister(u.io.stream());
-        self.conns.remove(token);
+        let _ = front.poller.deregister(u.io.stream());
+        front.conns.remove(token);
         let b = self.backend_io(index);
         b.total -= 1;
         b.free.retain(|&t| t != token);
         // Freed capacity: a queued sub-call may now open a fresh conn.
         while let Some(tag) = self.backend_io(index).waiting.pop_front() {
             if self.machines.get(tag.machine).is_some() {
-                if !self.subcall(tag, index) {
-                    self.sub_failed(tag, index);
+                if !self.subcall(front, tag, index) {
+                    self.sub_failed(front, tag, index);
                 }
                 break;
-            }
-        }
-    }
-
-    // -- periodic sweep ----------------------------------------------------
-
-    fn sweep(&mut self, now: Instant) {
-        for token in self.conns.tokens() {
-            match self.conns.get(token) {
-                Some(Conn::Upstream(u)) if u.owner.is_some() && now >= u.expires => {
-                    // Attempt timed out: same as a socket-timeout
-                    // transport failure on the blocking path.
-                    self.upstream_transport_fail(token);
-                }
-                Some(Conn::Client(c)) => {
-                    if c.io
-                        .mid_frame_since()
-                        .is_some_and(|s| now.duration_since(s) >= self.cfg().frame_assembly_timeout)
-                    {
-                        // Slowloris: a frame has been trickling for
-                        // longer than the assembly budget.
-                        self.shared.metrics.serve().record_protocol_error();
-                        self.close_client(token);
-                    } else if c.queue.is_empty()
-                        && !c.io.wants_write()
-                        && now.duration_since(c.io.last_activity()) >= self.cfg().idle_timeout
-                    {
-                        self.close_client(token);
-                    }
-                }
-                _ => {}
             }
         }
     }

@@ -23,17 +23,18 @@
 //! existing clients, the retrying client and the load generator work
 //! against it unchanged.
 //!
-//! # Transports and the dispatch core
+//! # Transports, the front door and the dispatch core
 //!
-//! What a request does — admission, replicated failover, scatter
-//! rounds, pipeline staging, deadline aborts and every response text —
-//! is decided once, by the socket-free machines of the `dispatch`
-//! module. The blocking transport above drives one machine at a time
-//! per worker over that worker's backend connections: it writes every
-//! owed sub-request before reading any, then reads the responses in
-//! shard order. The reactor transport (`event_router`) drives the same
-//! machines from pooled upstream connections, so the two answer
-//! byte-identically. [`ClusterConfig::transport`] selects one.
+//! Clients meet the front door of [`afpr_serve::front`], the same one
+//! a backend runs, on the transport [`ClusterConfig::transport`]
+//! selects. What a request does — admission, replicated failover,
+//! scatter rounds, pipeline staging, deadline aborts and every
+//! response text — is decided once, by the socket-free machines of the
+//! `dispatch` module. A blocking worker drives one machine at a time
+//! over its own backend connections: it writes every owed sub-request
+//! before reading any, then reads the responses in shard order. The
+//! reactor (`event_router`) drives the same machines over pooled
+//! upstream connections, so the two answer byte-identically.
 //!
 //! # Placement modes
 //!
@@ -84,8 +85,8 @@
 //! dispatch. A dead stage, like a dead shard, yields a structured
 //! `503`.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::{self, JoinHandle, Thread};
@@ -93,17 +94,16 @@ use std::time::{Duration, Instant};
 
 use afpr_models::ModelEntrySnapshot;
 use afpr_power::EnergyRoutingPolicy;
-use afpr_runtime::RejectReason;
-use afpr_serve::protocol::{self, Encoding, FrameError};
+use afpr_serve::front::{Door, FrontConfig, Tier};
 use afpr_serve::{
-    Client, ClientError, HealthInfo, HealthState, Op, Request, Response, Status, Transport,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    Client, ClientError, HealthInfo, HealthState, Request, Response, ServeMetrics, Status,
+    Transport, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 
 use crate::backend::{spawn_prober, BackendPool, BackendState, Fingerprint, SeedPin};
 use crate::dispatch::{admit, Admit, Machine, Step};
+use crate::event_router::Upstreams;
 use crate::metrics::{ClusterMetrics, ClusterSnapshot};
 use crate::plan::{PipelinePlan, ReplicatedShardPlan};
 
@@ -347,10 +347,6 @@ impl RouterShared {
         }
     }
 
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
     pub(crate) fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
         if let Some(w) = &self.drain_waker {
@@ -359,20 +355,6 @@ impl RouterShared {
         if let Some(prober) = self.prober.get() {
             prober.unpark();
         }
-    }
-
-    pub(crate) fn reject_malformed(&self, id: u64, detail: impl Into<String>) -> Response {
-        self.metrics
-            .serve()
-            .runtime()
-            .record_rejection(RejectReason::Malformed);
-        Response::error(id, Status::Malformed, detail)
-    }
-
-    pub(crate) fn retry_hint(&self) -> u64 {
-        self.pool
-            .min_retry_after_ms()
-            .unwrap_or(self.cfg.retry_after_ms)
     }
 
     /// The placement view new scatter rounds should dispatch on.
@@ -514,9 +496,10 @@ fn worst_of(a: HealthState, b: HealthState) -> HealthState {
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The front door's threads: an acceptor and connection workers,
+    /// or one event loop.
+    front: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -570,19 +553,16 @@ impl Router {
                 })?;
             }
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let (accept_wait, drain_waker, reactor_io) = if cfg.transport == Transport::Reactor {
-            let (waker, source) = afpr_reactor::waker_pair()?;
-            let poller = afpr_reactor::Poller::new()?;
-            let readable = afpr_reactor::Interest::READABLE;
-            poller.register(&listener, crate::event_router::LISTENER_TOKEN, readable)?;
-            poller.register(&source, crate::event_router::WAKER_TOKEN, readable)?;
-            (None, Some(waker), Some((poller, source)))
-        } else {
-            let (wait, waker) = afpr_reactor::AcceptWait::new(&listener);
-            (Some(wait), waker, None)
+        let (door, drain_waker) = Door::bind(&cfg.addr, cfg.transport)?;
+        let addr = door.addr;
+        let front_cfg = FrontConfig {
+            workers: cfg.workers,
+            accept_backlog: cfg.accept_backlog,
+            read_timeout: cfg.read_timeout,
+            max_frame_bytes: cfg.max_frame_bytes,
+            frame_assembly_timeout: cfg.frame_assembly_timeout,
+            max_connections: cfg.max_connections,
+            idle_timeout: cfg.idle_timeout,
         };
 
         let shared = Arc::new(RouterShared::new(cfg, pool, facts, drain_waker));
@@ -622,69 +602,18 @@ impl Router {
                 return Err(e);
             }
         };
-
-        let (acceptor, workers) = if let Some((poller, waker)) = reactor_io {
-            // One event loop owns the listener, every client socket and
-            // the pooled upstream connections; no per-connection thread.
-            let spawned = {
-                let shared_ev = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name("afpr-cluster-reactor".into())
-                    .spawn(move || {
-                        crate::event_router::run(&shared_ev, &listener, &poller, &waker);
-                    })
-            };
-            match spawned {
-                Ok(h) => (h, Vec::new()),
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
+        match door.open(&shared, front_cfg, "afpr-cluster") {
+            Ok(front) => Ok(Self {
+                addr,
+                shared,
+                front,
+                prober: Some(prober),
+            }),
+            Err(e) => {
+                shared.begin_shutdown();
+                Err(e)
             }
-        } else {
-            let (conn_tx, conn_rx) = bounded::<TcpStream>(shared.cfg.accept_backlog);
-            let mut workers = Vec::with_capacity(shared.cfg.workers);
-            for i in 0..shared.cfg.workers {
-                let worker = {
-                    let shared = Arc::clone(&shared);
-                    let conn_rx = conn_rx.clone();
-                    thread::Builder::new()
-                        .name(format!("afpr-cluster-conn-{i}"))
-                        .spawn(move || worker_loop(&shared, &conn_rx))
-                };
-                match worker {
-                    Ok(h) => workers.push(h),
-                    Err(e) => {
-                        shared.begin_shutdown();
-                        return Err(e);
-                    }
-                }
-            }
-
-            let acceptor = {
-                let shared_acc = Arc::clone(&shared);
-                let wait = accept_wait.expect("the blocking transport has an accept wait");
-                let spawned = thread::Builder::new()
-                    .name("afpr-cluster-accept".into())
-                    .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx, wait));
-                match spawned {
-                    Ok(h) => h,
-                    Err(e) => {
-                        shared.begin_shutdown();
-                        return Err(e);
-                    }
-                }
-            };
-            (acceptor, workers)
-        };
-
-        Ok(Self {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            prober: Some(prober),
-            workers,
-        })
+        }
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -759,10 +688,7 @@ impl Router {
 
     fn join_threads(&mut self) {
         self.shared.begin_shutdown();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.front.drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.prober.take() {
@@ -1000,148 +926,41 @@ fn pipeline_catalog(
 }
 
 // ---------------------------------------------------------------------------
-// Acceptor + connection workers (same discipline as the backend server)
+// Front door glue
 // ---------------------------------------------------------------------------
 
-/// Accepts client connections until the drain, handing each to the
-/// worker pool. Between connections it parks on listener readiness
-/// ([`afpr_reactor::AcceptWait`]); `begin_shutdown` wakes it.
-fn acceptor_loop(
-    shared: &RouterShared,
-    listener: &TcpListener,
-    conn_tx: &Sender<TcpStream>,
-    mut wait: afpr_reactor::AcceptWait,
-) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                shared.metrics.serve().record_connection();
-                match conn_tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        shared.metrics.serve().record_connection_dropped();
-                        drop(stream);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e) => wait.pause(&e),
+/// The router tier: [`admit`] answers a request or makes it a dispatch
+/// machine, which a blocking worker drives over its own backend
+/// connections ([`WorkerConns::drive`]) and the reactor over its
+/// upstream pool ([`Upstreams`]).
+impl Tier for RouterShared {
+    type Worker = WorkerConns;
+    type Events<'a> = Upstreams<'a>;
+
+    fn metrics(&self) -> &ServeMetrics {
+        self.metrics.serve()
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
+    }
+
+    fn retry_hint(&self) -> u64 {
+        self.pool
+            .min_retry_after_ms()
+            .unwrap_or(self.cfg.retry_after_ms)
+    }
+
+    fn answer(&self, conns: &mut WorkerConns, req: Request, t0: Instant) -> Response {
+        match admit(self, req, t0) {
+            Admit::Reply(resp) => *resp,
+            Admit::Run(machine) => conns.drive(self, machine),
         }
     }
-}
 
-fn worker_loop(shared: &RouterShared, conn_rx: &Receiver<TcpStream>) {
-    const IDLE_POLL: Duration = Duration::from_millis(25);
-    // Each worker owns one connection per backend, lazily established
-    // and dropped on any transport error (so a stale half-read stream
-    // can never desynchronize request/response pairing).
-    let mut conns = WorkerConns::new(shared.pool.len());
-    loop {
-        match conn_rx.recv_timeout(IDLE_POLL) {
-            Ok(stream) => connection_loop(shared, &mut conns, stream),
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+    fn events(&self) -> Upstreams<'_> {
+        Upstreams::new(self)
     }
-}
-
-fn connection_loop(shared: &RouterShared, conns: &mut WorkerConns, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        match protocol::read_frame_with_budget(
-            &mut reader,
-            shared.cfg.max_frame_bytes,
-            Some(shared.cfg.frame_assembly_timeout),
-        ) {
-            Ok(None) => return,
-            Ok(Some(payload)) => {
-                let t0 = Instant::now();
-                if !handle_frame(shared, conns, &payload, t0, &mut writer) {
-                    return;
-                }
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(e) if e.is_timeout() => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(FrameError::TooLarge { announced, max }) => {
-                shared.metrics.serve().record_protocol_error();
-                shared
-                    .metrics
-                    .serve()
-                    .runtime()
-                    .record_rejection(RejectReason::Malformed);
-                let resp = Response::error(
-                    0,
-                    Status::Malformed,
-                    format!("frame of {announced} bytes exceeds cap of {max}"),
-                );
-                let _ = protocol::write_message(&mut writer, &resp);
-                return;
-            }
-            Err(FrameError::TruncatedEof { .. } | FrameError::Stalled { .. }) => {
-                shared.metrics.serve().record_protocol_error();
-                return;
-            }
-            Err(FrameError::Io(_)) => {
-                shared.metrics.serve().record_protocol_error();
-                return;
-            }
-        }
-    }
-}
-
-fn handle_frame<W: Write>(
-    shared: &RouterShared,
-    conns: &mut WorkerConns,
-    payload: &[u8],
-    t0: Instant,
-    writer: &mut W,
-) -> bool {
-    // Answer in the encoding the request arrived in.
-    let enc = Encoding::of(payload);
-    let req = match protocol::parse_message::<Request>(payload) {
-        Ok(req) => req,
-        Err(e) => {
-            let resp = shared.reject_malformed(0, e);
-            return enc.write(writer, &resp).is_ok();
-        }
-    };
-    let op = req.op;
-    let id = req.id;
-    let resp = match admit(shared, req, t0) {
-        Admit::Reply(resp) => *resp,
-        Admit::Run(machine) => conns.drive(shared, machine),
-    };
-    shared
-        .metrics
-        .record_request(op, resp.is_ok(), t0.elapsed());
-    debug_assert_eq!(resp.id, id);
-    if enc.write(writer, &resp).is_err() {
-        return false;
-    }
-    op != Op::Shutdown
 }
 
 // ---------------------------------------------------------------------------
@@ -1245,7 +1064,8 @@ fn probe_addr(addr: &str, timeout: Duration) -> Result<HealthInfo, String> {
 /// One lazily-connected [`Client`] per backend, owned by a single
 /// worker thread. Any transport error drops the connection so framing
 /// state can never straddle requests.
-struct WorkerConns {
+#[derive(Default)]
+pub(crate) struct WorkerConns {
     /// Indexed by stable slot id; grows as backends join.
     conns: Vec<Option<Client>>,
     /// Sub-calls written and not yet answered (reused across requests).
@@ -1262,13 +1082,6 @@ struct Owed {
 }
 
 impl WorkerConns {
-    fn new(backends: usize) -> Self {
-        Self {
-            conns: (0..backends).map(|_| None).collect(),
-            owed: Vec::new(),
-        }
-    }
-
     fn slot(&mut self, index: usize) -> &mut Option<Client> {
         if self.conns.len() <= index {
             self.conns.resize_with(index + 1, || None);

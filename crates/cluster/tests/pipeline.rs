@@ -169,6 +169,61 @@ fn every_zoo_model_pipelines_bit_identically() {
     }
 }
 
+/// A staged `infer` answers as a single backend's `infer` does: with
+/// the served format and the whole model's metered energy, which the
+/// router credits once, under that format and model.
+#[test]
+fn staged_infer_answers_and_credits_single_node_energy() {
+    let backends = start_registry_backends(2, SEED);
+    let router = start_router(&backends, Placement::Pipeline);
+    let mut client = Client::connect(router.local_addr()).expect("connects");
+    let input: Vec<f32> = (0..ModelKind::TinyMlp.input_len())
+        .map(|j| ((j as f32) * 0.37).sin())
+        .collect();
+    let tiny_mlp = |snap: &afpr_serve::ServeSnapshot| {
+        let power = snap.power.clone().expect("the router keeps a power ledger");
+        let credit = power.per_model.iter().find(|m| m.key == "tiny-mlp");
+        let credit = credit.map_or((0, 0.0), |m| (m.requests, m.total_mj));
+        (power.requests, credit)
+    };
+
+    for (id, mode) in (1..).zip(ALL_FORMATS) {
+        let format = format_wire_name(mode);
+        let req = afpr_serve::Request::infer(id, "tiny-mlp", format, input.clone());
+        let single = start_registry_backends(1, SEED).remove(0);
+        let reference = Client::connect(single.local_addr())
+            .expect("connects")
+            .call(&req)
+            .expect("single-node answer");
+        let _ = single.shutdown();
+        let want = reference.energy_mj.expect("a single backend meters infer");
+        assert!(want > 0.0, "{format}: {want}");
+
+        let (requests, (model_requests, model_mj)) = tiny_mlp(&router.metrics());
+        let staged = client.call(&req).expect("staged answer");
+        assert!(staged.is_ok(), "{format}: {staged:?}");
+        assert_eq!(staged.format.as_deref(), Some(format));
+        let got = staged.energy_mj.expect("a staged infer carries its energy");
+        assert!(
+            (got - want).abs() <= 1e-9 * want,
+            "{format}: staged {got} mJ vs single-node {want} mJ"
+        );
+
+        let (requests_after, (model_requests_after, model_mj_after)) = tiny_mlp(&router.metrics());
+        assert_eq!(requests_after, requests + 1, "{format}: credited once");
+        assert_eq!(model_requests_after, model_requests + 1, "{format}");
+        assert!(
+            (model_mj_after - model_mj - got).abs() <= 1e-9 * got,
+            "{format}: tiny-mlp credit {model_mj} -> {model_mj_after}, answer {got}"
+        );
+    }
+
+    let _ = router.shutdown();
+    for b in backends {
+        let _ = b.shutdown();
+    }
+}
+
 /// Router-level validation: unknown model is `404` (non-retryable),
 /// unknown format and wrong dims are `400`, and a stage-level
 /// `layer_start` on a client request is refused — all structured, all

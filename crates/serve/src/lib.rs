@@ -11,6 +11,9 @@
 //!   each request is answered in its own encoding. HTTP-flavored status
 //!   codes (`200 ok`, `400 malformed`, `503 overloaded`/`shutting_down`,
 //!   `504 deadline_expired`).
+//! - **Front door** ([`front`]): the client-facing connection layer,
+//!   written once per transport (a blocking worker pool or one epoll
+//!   loop) and run by both the server and the cluster router.
 //! - **Server** ([`server`]): acceptor thread + fixed connection
 //!   worker pool + one execution thread that owns the accelerator and
 //!   drains a bounded [`afpr_runtime::MicroBatcher`]. Admission control
@@ -58,7 +61,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-mod event_server;
+pub mod front;
 pub mod health;
 pub mod metrics;
 pub mod protocol;
@@ -67,6 +70,7 @@ pub mod server;
 
 pub use afpr_power::{EnergyHistSnapshot, KeyEnergySnapshot, PowerSnapshot};
 pub use client::{Client, ClientError};
+pub use front::Transport;
 pub use health::{HealthMachine, HealthPolicy, HealthSnapshot, HealthState};
 pub use metrics::{OpSnapshot, ServeMetrics, ServeSnapshot};
 pub use protocol::{
@@ -75,4 +79,4 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryStats, RetryingClient};
-pub use server::{ServeModel, Server, ServerConfig, Transport, MAX_DEADLINE_MS};
+pub use server::{ServeModel, Server, ServerConfig, MAX_DEADLINE_MS};

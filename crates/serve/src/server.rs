@@ -53,8 +53,9 @@
 //! before the close (and served) or refused with a `503` at admission
 //! — no producer is ever left waiting on a reply that will not come.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::convert::Infallible;
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -67,45 +68,16 @@ use afpr_nn::tensor::Tensor;
 use afpr_power::{evaluate_budget, BudgetDecision, EnergyPoint, RequestEnergy};
 use afpr_runtime::{BatchConfig, Engine, EngineConfig, MicroBatcher, QueueFull, RejectReason};
 use afpr_xbar::spec::{MacroMode, MacroSpec};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 
-use crate::event_server;
+use crate::front::{Door, EventTier, Front, FrontConfig, Tier};
 use crate::health::{HealthMachine, HealthPolicy, HealthState};
 use crate::metrics::{ServeMetrics, ServeSnapshot};
 use crate::protocol::{
-    self, Encoding, FrameError, HealthInfo, Op, Request, Response, Status, DEFAULT_MAX_FRAME,
-    PROTOCOL_VERSION,
+    Encoding, HealthInfo, Op, Request, Response, Status, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 
-/// Which I/O transport the server's front door runs on.
-///
-/// Both transports speak the same wire protocol through the same
-/// admission pipeline and produce byte-identical responses; the
-/// blocking pool is kept as the behavioral oracle for the reactor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Thread-per-connection blocking I/O (`cfg.workers` threads).
-    #[default]
-    Blocking,
-    /// Single epoll event loop driving every connection (Linux only;
-    /// see `afpr-reactor`). Scales to tens of thousands of idle
-    /// connections without pinning a thread per socket.
-    Reactor,
-}
-
-impl Transport {
-    /// Reads a transport choice from an environment variable
-    /// (`"reactor"` selects the reactor where supported; anything else
-    /// — including unset — selects blocking I/O). The suite wrappers
-    /// that re-run every serve test against the reactor set this.
-    #[must_use]
-    pub fn from_env(var: &str) -> Self {
-        match std::env::var(var).ok().as_deref() {
-            Some("reactor") if afpr_reactor::reactor_supported() => Transport::Reactor,
-            _ => Transport::Blocking,
-        }
-    }
-}
+pub use crate::front::Transport;
 
 /// Configuration for [`Server`].
 #[derive(Debug, Clone)]
@@ -377,24 +349,15 @@ pub(crate) struct Shared {
     /// energy-accounting key for `matvec`/`forward_batch`/
     /// `matvec_partial` requests (infer requests carry their own).
     base_format: String,
-    /// Wakes the reactor event loop when the execution thread has
-    /// replies ready (`None` on the blocking transport, whose workers
-    /// block on their own reply channels instead).
-    transport_waker: Option<afpr_reactor::Waker>,
-    /// Ends the blocking transport's acceptor wait so a drain stops it
-    /// at once (`None` on the reactor transport, or where the acceptor
-    /// has no readiness wait).
-    accept_waker: Option<afpr_reactor::Waker>,
+    /// Ends the wait of the front door's listener thread, so a drain
+    /// stops it at once (`None` where the blocking acceptor has no
+    /// readiness wait).
+    door_waker: Option<afpr_reactor::Waker>,
 }
 
 impl Shared {
-    pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
-    /// Nudges the event-driven transport (no-op for blocking I/O).
-    pub(crate) fn wake_transport(&self) {
-        if let Some(w) = &self.transport_waker {
+    fn wake_door(&self) {
+        if let Some(w) = &self.door_waker {
             w.wake();
         }
     }
@@ -405,10 +368,7 @@ impl Shared {
         self.shutting_down.store(true, Ordering::Release);
         self.health.set_draining();
         self.batcher.close();
-        self.wake_transport();
-        if let Some(w) = &self.accept_waker {
-            w.wake();
-        }
+        self.wake_door();
     }
 
     /// Admission-queue fill fraction in `[0, 1]`.
@@ -456,23 +416,24 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The front door's threads: an acceptor and connection workers,
+    /// or one event loop.
+    front: Vec<JoinHandle<()>>,
     exec: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.addr)
-            .field("workers", &self.workers.len())
+            .field("front_threads", &self.front.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Server {
-    /// Binds the listener and spawns the acceptor, connection pool and
-    /// execution thread.
+    /// Binds the listener and spawns the execution thread and the front
+    /// door's threads.
     ///
     /// # Errors
     ///
@@ -483,9 +444,17 @@ impl Server {
     /// Panics if `workers`, `queue_capacity` or `batch_size` is zero.
     pub fn start(cfg: ServerConfig, model: ServeModel) -> io::Result<Self> {
         assert!(cfg.workers > 0, "workers must be positive");
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let (door, door_waker) = Door::bind(&cfg.addr, cfg.transport)?;
+        let addr = door.addr;
+        let front_cfg = FrontConfig {
+            workers: cfg.workers,
+            accept_backlog: cfg.accept_backlog,
+            read_timeout: cfg.read_timeout,
+            max_frame_bytes: cfg.max_frame_bytes,
+            frame_assembly_timeout: cfg.frame_assembly_timeout,
+            max_connections: cfg.max_connections,
+            idle_timeout: cfg.idle_timeout,
+        };
 
         let engine = Engine::new(EngineConfig {
             threads: cfg.engine_threads,
@@ -512,34 +481,6 @@ impl Server {
             metrics.set_registry(Arc::clone(reg));
         }
         let base_format = afpr_models::format_wire_name(accel.mode()).to_string();
-        // Reactor transport: the poller, waker pair and registrations
-        // are created here (not in the event-loop thread) so setup
-        // failures surface as `Server::start` errors.
-        let (transport_waker, reactor_io) = match cfg.transport {
-            Transport::Reactor => {
-                let poller = afpr_reactor::Poller::new()?;
-                let (waker, waker_source) = afpr_reactor::waker_pair()?;
-                poller.register(
-                    &listener,
-                    event_server::LISTENER_TOKEN,
-                    afpr_reactor::Interest::READABLE,
-                )?;
-                poller.register(
-                    &waker_source,
-                    event_server::WAKER_TOKEN,
-                    afpr_reactor::Interest::READABLE,
-                )?;
-                (Some(waker), Some((poller, waker_source)))
-            }
-            Transport::Blocking => (None, None),
-        };
-        let (accept_wait, accept_waker) = match cfg.transport {
-            Transport::Reactor => (None, None),
-            Transport::Blocking => {
-                let (wait, waker) = afpr_reactor::AcceptWait::new(&listener);
-                (Some(wait), waker)
-            }
-        };
         let shared = Arc::new(Shared {
             cfg,
             shutting_down: AtomicBool::new(false),
@@ -551,95 +492,33 @@ impl Server {
             row_tile_rows,
             registry,
             base_format,
-            transport_waker,
-            accept_waker,
+            door_waker,
         });
 
         // Thread-spawn failure (OS resource exhaustion) is an I/O error
         // we propagate, not a panic. On any failure path,
-        // `begin_shutdown` closes the batcher and drops the connection
-        // channel, so every already-spawned thread observes the drain
-        // and exits on its own.
-        let exec = {
-            let shared_exec = Arc::clone(&shared);
-            let spawned = thread::Builder::new()
-                .name("afpr-serve-exec".into())
-                .spawn(move || exec_loop(&shared_exec, accel, handle, &engine, chaos));
-            match spawned {
-                Ok(h) => h,
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
-            }
-        };
-
-        // Reactor transport: one event-loop thread replaces the
-        // acceptor + connection pool entirely.
-        if let Some((poller, waker_source)) = reactor_io {
-            let event_loop = {
-                let shared_ev = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name("afpr-serve-reactor".into())
-                    .spawn(move || event_server::run(&shared_ev, &listener, &poller, &waker_source))
-            };
-            let acceptor = match event_loop {
-                Ok(h) => h,
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
-            };
-            return Ok(Self {
+        // `begin_shutdown` closes the batcher and wakes the front door,
+        // so every already-spawned thread observes the drain and exits
+        // on its own.
+        let spawned = thread::Builder::new()
+            .name("afpr-serve-exec".into())
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || exec_loop(&shared, accel, handle, &engine, chaos)
+            })
+            .and_then(|exec| Ok((exec, door.open(&shared, front_cfg, "afpr-serve")?)));
+        match spawned {
+            Ok((exec, front)) => Ok(Self {
                 addr,
                 shared,
-                acceptor: Some(acceptor),
+                front,
                 exec: Some(exec),
-                workers: Vec::new(),
-            });
-        }
-
-        let (conn_tx, conn_rx) = bounded::<TcpStream>(shared.cfg.accept_backlog);
-        let mut workers = Vec::with_capacity(shared.cfg.workers);
-        for i in 0..shared.cfg.workers {
-            let worker = {
-                let shared = Arc::clone(&shared);
-                let conn_rx = conn_rx.clone();
-                thread::Builder::new()
-                    .name(format!("afpr-serve-conn-{i}"))
-                    .spawn(move || worker_loop(&shared, &conn_rx))
-            };
-            match worker {
-                Ok(h) => workers.push(h),
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
+            }),
+            Err(e) => {
+                shared.begin_shutdown();
+                Err(e)
             }
         }
-
-        let acceptor = {
-            let shared_acc = Arc::clone(&shared);
-            let wait = accept_wait.expect("the blocking transport has an accept wait");
-            let spawned = thread::Builder::new()
-                .name("afpr-serve-accept".into())
-                .spawn(move || acceptor_loop(&shared_acc, &listener, &conn_tx, wait));
-            match spawned {
-                Ok(h) => h,
-                Err(e) => {
-                    shared.begin_shutdown();
-                    return Err(e);
-                }
-            }
-        };
-
-        Ok(Self {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            exec: Some(exec),
-            workers,
-        })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -686,10 +565,7 @@ impl Server {
 
     fn join_threads(&mut self) {
         self.shared.begin_shutdown();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.front.drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.exec.take() {
@@ -705,153 +581,82 @@ impl Drop for Server {
 }
 
 // ---------------------------------------------------------------------------
-// Acceptor
+// Front door glue
 // ---------------------------------------------------------------------------
 
-/// Accepts connections until the drain, handing each to the worker
-/// pool. Between connections it parks on listener readiness
-/// ([`afpr_reactor::AcceptWait`]); `begin_shutdown` wakes it.
-fn acceptor_loop(
-    shared: &Shared,
-    listener: &TcpListener,
-    conn_tx: &Sender<TcpStream>,
-    mut wait: afpr_reactor::AcceptWait,
-) {
-    loop {
-        if shared.is_shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The listener is non-blocking (so this loop can watch
-                // the drain flag); accepted sockets must be blocking
-                // for the per-connection read-timeout discipline.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                shared.metrics.record_connection();
-                match conn_tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        shared.metrics.record_connection_dropped();
-                        drop(stream);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
+/// The server tier: [`dispatch_admit`] admits each request, and a
+/// queued one is answered from its execution reply channel.
+impl Tier for Shared {
+    type Worker = ();
+    type Events<'a> = &'a Shared;
+
+    fn metrics(&self) -> &ServeMetrics {
+        &self.metrics
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
+    }
+
+    fn retry_hint(&self) -> u64 {
+        self.cfg.retry_after_ms
+    }
+
+    /// Waits for a queued request's reply in place.
+    fn answer(&self, _: &mut (), req: Request, t0: Instant) -> Response {
+        match dispatch_admit(self, req, t0) {
+            Admission::Immediate(resp) => resp,
+            Admission::Pending(pending) => {
+                // The bound `expires_at` sets on the reactor; without a
+                // deadline, the wait reads no clock.
+                let wait = match pending.deadline {
+                    Some(d) => d.saturating_duration_since(Instant::now()) + REPLY_GRACE,
+                    None => REPLY_TIMEOUT,
+                };
+                let reply = pending.rx.recv_timeout(wait).ok();
+                resolve_reply(self, &pending, reply)
             }
-            Err(e) => wait.pause(&e),
         }
+    }
+
+    fn events(&self) -> &Shared {
+        self
     }
 }
 
-// ---------------------------------------------------------------------------
-// Connection workers
-// ---------------------------------------------------------------------------
+/// On the reactor a queued request waits in its connection's queue
+/// until its reply is on the channel.
+impl EventTier for &Shared {
+    type Tier = Shared;
+    type Pending = PendingExec;
+    type Peer = Infallible;
+    const SWEEP_PERIOD: Duration = Duration::from_millis(100);
 
-fn worker_loop(shared: &Shared, conn_rx: &Receiver<TcpStream>) {
-    const IDLE_POLL: Duration = Duration::from_millis(25);
-    loop {
-        match conn_rx.recv_timeout(IDLE_POLL) {
-            Ok(stream) => connection_loop(shared, stream),
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
+    fn admit(
+        &mut self,
+        front: &mut Front<'_, Self>,
+        client: u64,
+        enc: Encoding,
+        req: Request,
+        t0: Instant,
+    ) {
+        let op = req.op;
+        match dispatch_admit(self, req, t0) {
+            Admission::Immediate(resp) => front.answer(client, enc, op, t0, Box::new(resp)),
+            Admission::Pending(exec) => front.wait(client, enc, op, t0, exec),
         }
     }
-}
 
-/// Serves one connection to completion: a read → admit → execute →
-/// respond loop with framing-error containment.
-fn connection_loop(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-
-    loop {
-        match protocol::read_frame_with_budget(
-            &mut reader,
-            shared.cfg.max_frame_bytes,
-            Some(shared.cfg.frame_assembly_timeout),
-        ) {
-            Ok(None) => return, // clean disconnect
-            Ok(Some(payload)) => {
-                let t0 = Instant::now();
-                if !handle_frame(shared, &payload, t0, &mut writer) {
-                    return;
-                }
-                // Drain-then-stop: during shutdown each connection
-                // finishes the request it is on, then closes.
-                if shared.is_shutting_down() {
-                    return;
-                }
-            }
-            Err(e) if e.is_timeout() => {
-                if shared.is_shutting_down() {
-                    return; // idle connection during drain
-                }
-            }
-            Err(FrameError::TooLarge { announced, max }) => {
-                // The peer is alive and spoke the framing language;
-                // tell it what went wrong, then cut the connection
-                // (the oversized payload cannot be skipped safely).
-                shared.metrics.record_protocol_error();
-                shared
-                    .metrics
-                    .runtime()
-                    .record_rejection(RejectReason::Malformed);
-                let resp = Response::error(
-                    0,
-                    Status::Malformed,
-                    format!("frame of {announced} bytes exceeds cap of {max}"),
-                );
-                let _ = protocol::write_message(&mut writer, &resp);
-                return;
-            }
-            Err(FrameError::TruncatedEof { .. } | FrameError::Stalled { .. }) => {
-                // Half-sent frame: nothing sensible to answer.
-                shared.metrics.record_protocol_error();
-                return;
-            }
-            Err(FrameError::Io(_)) => {
-                shared.metrics.record_protocol_error();
-                return;
-            }
-        }
+    /// The reply, or a failure once the execution thread is presumed
+    /// dead.
+    fn poll(&mut self, exec: &PendingExec, t0: Instant) -> Option<Response> {
+        let reply = match exec.rx.try_recv() {
+            Ok(reply) => Some(reply),
+            Err(TryRecvError::Empty) if Instant::now() < exec.expires_at(t0) => return None,
+            Err(_) => None,
+        };
+        Some(resolve_reply(self, exec, reply))
     }
-}
-
-/// Parses and serves one frame. Returns `false` when the connection
-/// should close (write failure or served a `shutdown`).
-fn handle_frame<W: Write>(shared: &Shared, payload: &[u8], t0: Instant, writer: &mut W) -> bool {
-    // Answer in the encoding the request arrived in.
-    let enc = Encoding::of(payload);
-    let req = match protocol::parse_message::<Request>(payload) {
-        Ok(req) => req,
-        Err(e) => {
-            // Undecodable payload inside a good frame: answer 400, keep
-            // the connection — framing is still in sync.
-            let resp = reject_malformed(shared, 0, e);
-            return enc.write(writer, &resp).is_ok();
-        }
-    };
-    let op = req.op;
-    let id = req.id;
-    let resp = dispatch(shared, req, t0);
-    shared
-        .metrics
-        .record_request(op, resp.is_ok(), t0.elapsed());
-    debug_assert_eq!(resp.id, id);
-    if enc.write(writer, &resp).is_err() {
-        return false;
-    }
-    op != Op::Shutdown
 }
 
 /// How a `Done` reply's outputs map back onto response fields.
@@ -906,9 +711,10 @@ pub(crate) struct PendingExec {
 }
 
 impl PendingExec {
-    /// When the transport should stop waiting and fail the request
-    /// (execution thread presumed dead). Mirrors the blocking path's
-    /// `recv_timeout` bound.
+    /// When the reactor stops waiting and fails the request. The
+    /// execution thread answers every queued job, drain included, so
+    /// this only fires if it died: the request fails instead of hanging
+    /// its connection.
     pub(crate) fn expires_at(&self, admitted: Instant) -> Instant {
         match self.deadline {
             Some(d) => d + REPLY_GRACE,
@@ -919,37 +725,13 @@ impl PendingExec {
 
 /// Outcome of non-blocking dispatch: either the response is already
 /// known, or the request was queued and the reply must be awaited.
+// Moved once, into a blocking worker's answer or the reactor's queue
+// slot (boxed there); boxing here would allocate for every immediate
+// answer on the blocking transport.
+#[allow(clippy::large_enum_variant)]
 pub(crate) enum Admission {
-    Immediate(Box<Response>),
+    Immediate(Response),
     Pending(PendingExec),
-}
-
-impl Admission {
-    /// `Response` is ~17× the size of `PendingExec`; boxing keeps the
-    /// enum (and the per-request queue slots built from it) small.
-    pub(crate) fn immediate(resp: Response) -> Self {
-        Admission::Immediate(Box::new(resp))
-    }
-}
-
-/// Admission control + dispatch for one parsed request (blocking
-/// transport: waits for the execution reply in place).
-fn dispatch(shared: &Shared, req: Request, t0: Instant) -> Response {
-    match dispatch_admit(shared, req, t0) {
-        Admission::Immediate(resp) => *resp,
-        Admission::Pending(pending) => {
-            // Generous reply wait: the execution thread answers every
-            // queued job (including during drain), so this timeout only
-            // fires if the execution thread died — fail the request
-            // instead of hanging the connection forever.
-            let wait = match pending.deadline {
-                Some(d) => d.saturating_duration_since(Instant::now()) + REPLY_GRACE,
-                None => REPLY_TIMEOUT,
-            };
-            let reply = pending.rx.recv_timeout(wait).ok();
-            resolve_reply(shared, pending, reply)
-        }
-    }
 }
 
 /// The non-blocking part of dispatch, shared by both transports:
@@ -961,8 +743,7 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
     // fails loudly at the first frame instead of corrupting results
     // silently. Old frames without the field parse as version 1.
     if req.proto_version != PROTOCOL_VERSION {
-        return Admission::immediate(reject_malformed(
-            shared,
+        return Admission::Immediate(shared.reject_malformed(
             req.id,
             format!(
                 "unsupported protocol version {} (server speaks {PROTOCOL_VERSION})",
@@ -974,26 +755,24 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
         Op::Health => {
             let mut resp = Response::ok(req.id);
             resp.health = Some(shared.health_info());
-            Admission::immediate(resp)
+            Admission::Immediate(resp)
         }
         Op::Metrics => {
             let mut resp = Response::ok(req.id);
             resp.metrics = Some(shared.metrics.snapshot());
-            Admission::immediate(resp)
+            Admission::Immediate(resp)
         }
         Op::Shutdown => {
             shared.begin_shutdown();
             let mut resp = Response::ok(req.id);
             resp.metrics = Some(shared.metrics.snapshot());
-            Admission::immediate(resp)
+            Admission::Immediate(resp)
         }
         Op::Matvec => {
             let Some(input) = req.input.clone() else {
-                return Admission::immediate(reject_malformed(
-                    shared,
-                    req.id,
-                    "matvec requires `input`",
-                ));
+                return Admission::Immediate(
+                    shared.reject_malformed(req.id, "matvec requires `input`"),
+                );
             };
             admit(
                 shared,
@@ -1005,16 +784,14 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
         }
         Op::ForwardBatch => {
             let Some(inputs) = req.inputs.clone() else {
-                return Admission::immediate(reject_malformed(
-                    shared,
-                    req.id,
-                    "forward_batch requires `inputs`",
-                ));
+                return Admission::Immediate(
+                    shared.reject_malformed(req.id, "forward_batch requires `inputs`"),
+                );
             };
             if inputs.is_empty() {
                 let mut resp = Response::ok(req.id);
                 resp.outputs = Some(Vec::new());
-                return Admission::immediate(resp);
+                return Admission::Immediate(resp);
             }
             admit(
                 shared,
@@ -1028,7 +805,7 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
             let payload = match validate_partial(shared, &req) {
                 Ok(p) => p,
                 Err(detail) => {
-                    return Admission::immediate(reject_malformed(shared, req.id, detail));
+                    return Admission::Immediate(shared.reject_malformed(req.id, detail));
                 }
             };
             admit(shared, &req, t0, payload, ReplyShape::Partials)
@@ -1036,15 +813,14 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
         Op::Infer => {
             let payload = match validate_infer(shared, &req) {
                 Ok(p) => p,
-                Err(resp) => return Admission::immediate(*resp),
+                Err(resp) => return Admission::Immediate(*resp),
             };
             admit(shared, &req, t0, payload, ReplyShape::Single)
         }
         // Membership control is router-level: a backend has no pool to
         // mutate, so it refuses loudly instead of silently acking a
         // registration that changed nothing.
-        Op::Register | Op::Deregister => Admission::immediate(reject_malformed(
-            shared,
+        Op::Register | Op::Deregister => Admission::Immediate(shared.reject_malformed(
             req.id,
             format!("`{}` is a cluster-router op; this is a backend", req.op),
         )),
@@ -1054,12 +830,9 @@ pub(crate) fn dispatch_admit(shared: &Shared, req: Request, t0: Instant) -> Admi
 /// Turns an execution reply (or its absence: timeout / dead execution
 /// thread) into the wire response. Shared by both transports so status
 /// mapping and rejection accounting stay identical.
-pub(crate) fn resolve_reply(
-    shared: &Shared,
-    pending: PendingExec,
-    reply: Option<ExecReply>,
-) -> Response {
+fn resolve_reply(shared: &Shared, pending: &PendingExec, reply: Option<ExecReply>) -> Response {
     let PendingExec { id, shape, tag, .. } = pending;
+    let id = *id;
     match reply {
         Some(ExecReply::Done(mut outputs, energy)) => {
             let mut resp = Response::ok(id);
@@ -1108,25 +881,20 @@ pub(crate) fn resolve_reply(
 /// model's boundary shapes, which happens on the execution thread.
 fn validate_infer(shared: &Shared, req: &Request) -> Result<JobPayload, Box<Response>> {
     if shared.registry.is_none() {
-        return Err(Box::new(reject_malformed(
-            shared,
+        return Err(Box::new(shared.reject_malformed(
             req.id,
             "this server has no model registry attached",
         )));
     }
     let Some(model) = req.model.clone() else {
-        return Err(Box::new(reject_malformed(
-            shared,
-            req.id,
-            "infer requires `model`",
-        )));
+        return Err(Box::new(
+            shared.reject_malformed(req.id, "infer requires `model`"),
+        ));
     };
     let Some(input) = req.input.clone() else {
-        return Err(Box::new(reject_malformed(
-            shared,
-            req.id,
-            "infer requires `input`",
-        )));
+        return Err(Box::new(
+            shared.reject_malformed(req.id, "infer requires `input`"),
+        ));
     };
     let Some(kind) = ModelKind::from_wire(&model) else {
         // Unknown model is a 404, distinct from malformed-field 400s —
@@ -1139,8 +907,7 @@ fn validate_infer(shared: &Shared, req: &Request) -> Result<JobPayload, Box<Resp
     };
     let format = req.format.clone().unwrap_or_else(|| "e2m5".to_string());
     if afpr_models::format_from_wire(&format).is_none() {
-        return Err(Box::new(reject_malformed(
-            shared,
+        return Err(Box::new(shared.reject_malformed(
             req.id,
             format!("unknown format {format:?} (expected e2m5, e3m4 or int8)"),
         )));
@@ -1149,15 +916,13 @@ fn validate_infer(shared: &Shared, req: &Request) -> Result<JobPayload, Box<Resp
     let start = req.layer_start.unwrap_or(0);
     let end = req.layer_end.unwrap_or(layers);
     if start >= end || end > layers {
-        return Err(Box::new(reject_malformed(
-            shared,
+        return Err(Box::new(shared.reject_malformed(
             req.id,
             format!("layer range [{start}, {end}) invalid for {layers} layers"),
         )));
     }
     if start == 0 && input.len() != kind.input_len() {
-        return Err(Box::new(reject_malformed(
-            shared,
+        return Err(Box::new(shared.reject_malformed(
             req.id,
             format!(
                 "input has length {}, model {model} expects {}",
@@ -1228,14 +993,6 @@ fn validate_partial(shared: &Shared, req: &Request) -> Result<JobPayload, String
     })
 }
 
-pub(crate) fn reject_malformed(shared: &Shared, id: u64, detail: impl Into<String>) -> Response {
-    shared
-        .metrics
-        .runtime()
-        .record_rejection(RejectReason::Malformed);
-    Response::error(id, Status::Malformed, detail)
-}
-
 /// Hard cap on a client-supplied `deadline_ms` (24 hours). Values past
 /// this are rejected as malformed: they carry no scheduling meaning
 /// and, near `u64::MAX`, would overflow `Instant + Duration`.
@@ -1256,8 +1013,7 @@ fn admit(
     // `validate_partial`; full payloads are checked here.
     for (i, input) in payload.full_inputs().iter().enumerate() {
         if input.len() != shared.k {
-            return Admission::immediate(reject_malformed(
-                shared,
+            return Admission::Immediate(shared.reject_malformed(
                 req.id,
                 format!(
                     "input {i} has length {}, served layer expects {}",
@@ -1282,8 +1038,7 @@ fn admit(
     let mut downshifted = false;
     if let Some(budget) = req.energy_budget_mj {
         if !budget.is_finite() || budget <= 0.0 {
-            return Admission::immediate(reject_malformed(
-                shared,
+            return Admission::Immediate(shared.reject_malformed(
                 req.id,
                 format!("energy_budget_mj must be a finite positive number, got {budget}"),
             ));
@@ -1310,7 +1065,7 @@ fn admit(
                     .metrics
                     .runtime()
                     .record_rejection(RejectReason::EnergyBudget);
-                return Admission::immediate(Response::error(
+                return Admission::Immediate(Response::error(
                     req.id,
                     Status::OverBudget,
                     format!("estimated cost {estimate_mj:.6} mJ exceeds energy_budget_mj {budget}"),
@@ -1332,8 +1087,7 @@ fn admit(
             match t0.checked_add(Duration::from_millis(ms)) {
                 Some(d) if within_cap => Some(d),
                 _ => {
-                    return Admission::immediate(reject_malformed(
-                        shared,
+                    return Admission::Immediate(shared.reject_malformed(
                         req.id,
                         format!("deadline_ms {ms} exceeds the maximum of {MAX_DEADLINE_MS} ms"),
                     ));
@@ -1347,7 +1101,7 @@ fn admit(
                 .metrics
                 .runtime()
                 .record_rejection(RejectReason::DeadlineExpired);
-            return Admission::immediate(Response::error(
+            return Admission::Immediate(Response::error(
                 req.id,
                 Status::DeadlineExpired,
                 "deadline expired before admission",
@@ -1356,7 +1110,7 @@ fn admit(
     }
 
     if shared.is_shutting_down() {
-        return Admission::immediate(Response::error(
+        return Admission::Immediate(Response::error(
             req.id,
             Status::ShuttingDown,
             "server is draining",
@@ -1381,7 +1135,7 @@ fn admit(
             "service degraded: shedding load",
         );
         resp.retry_after_ms = Some(shared.cfg.retry_after_ms);
-        return Admission::immediate(resp);
+        return Admission::Immediate(resp);
     }
 
     let (reply_tx, reply_rx) = bounded::<ExecReply>(1);
@@ -1394,7 +1148,7 @@ fn admit(
         // The batcher already counted the rejection (queue_full).
         let mut resp = Response::error(req.id, Status::Overloaded, "admission queue at capacity");
         resp.retry_after_ms = Some(shared.cfg.retry_after_ms);
-        return Admission::immediate(resp);
+        return Admission::Immediate(resp);
     }
     shared.metrics.runtime().record_request_accepted();
 
@@ -1457,8 +1211,10 @@ fn exec_loop(
         engine.metrics().record_energy_j(total - energy_reported);
         energy_reported = total;
         // Replies for this batch are on their channels: nudge the
-        // event-driven transport to deliver them (no-op for blocking).
-        shared.wake_transport();
+        // reactor to deliver them (blocking workers wait on theirs).
+        if shared.cfg.transport == Transport::Reactor {
+            shared.wake_door();
+        }
     }
 }
 
